@@ -10,9 +10,9 @@ covered here, all for a motion started upward at height ``x``:
   cumulative-downward-displacement law before the first return.
 * ``psi0`` / ``psi_x_series`` / ``psi_x_integral``: density of the first
   passage of the accumulated-jump process through the moving level, i.e.
-  half the first-return time.  Series and quadrature forms are kept as
-  independent routes on purpose; reconciling them is part of the test
-  surface.
+  half the first-return time.  ``psi_x_series`` evaluates the Bessel-order
+  mixture at every t; the quadrature form is kept as an independent route
+  on purpose, and reconciling the two is part of the test surface.
 * ``pdf_c0`` / ``pdf_cx`` / ``pdf_a0``: densities of the first return
   time from the boundary, of the first passage to the boundary from
   ``x``, and of the total lifetime until absorption from the boundary.
@@ -25,7 +25,8 @@ Everywhere below, series accumulate in extended precision and Bessel
 factors are evaluated in exponentially scaled form, so no intermediate
 overflows for any argument a tail integration can produce.  The
 ``SeriesControl`` budget governs the truncated double sums; the scaled
-Bessel kernels themselves run to machine precision.
+Bessel kernels and the Bessel-order mixtures built on them run to machine
+precision.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ from .specfun import (
 )
 
 logger = logging.getLogger(__name__)
-
-# printed-series route for the first-passage density is used below this
-# value of t*sqrt(lam*mu); above it the Bessel-mixture route takes over
-_PSI_SERIES_CUTOFF = 25.0
 
 # additive floor for tail checks on longdouble accumulators; built as a
 # power because the value underflows to 0 as a float literal
@@ -139,6 +136,26 @@ def _ret(values: np.ndarray, scalar: bool):
 def _ibar(n: int, z: np.ndarray) -> np.ndarray:
     """Exponentially scaled modified Bessel value of one order, vectorized."""
     return _bessel_i_scaled_sweep(n, z)[n]
+
+
+def _bessel_order_sum(z: np.ndarray, c1, ratio, n_max: int) -> np.ndarray:
+    """Per-lane sum over k = 1..n of c_k e^{-z} I_k(z), in longdouble.
+
+    ``c1`` is the order-1 coefficient and ``ratio(k)`` maps an array of
+    orders k to c_{k+1} / c_k.  The order count starts at ``n_max`` and
+    grows by 1.6x, at most three times, until the last term of every lane
+    sits below 1e-17 of its total.
+    """
+    for _ in range(4):
+        sweep = _bessel_i_scaled_sweep(n_max, z)
+        ratios = ratio(np.arange(1, n_max, dtype=_LD))
+        coef = c1 * np.cumprod(np.concatenate(([_LD(1.0)], ratios)))
+        total = coef @ sweep[1:]
+        last = coef[-1] * sweep[-1]
+        if np.all(last <= 1e-17 * total + _TAIL_FLOOR):
+            return total
+        n_max = int(1.6 * n_max) + 20
+    raise ConvergenceError("Bessel-order sum", float(np.max(last)), n_max)
 
 
 def geometric_pmf(m: int, p: ModelParams) -> float:
@@ -269,43 +286,7 @@ def _bracket_deficit(q: int, w, cache: dict) -> np.longdouble:
     return acc
 
 
-def _psi_x_printed(t: float, x: float, lam: float, mu: float, ctrl: SeriesControl) -> float:
-    """Double-series route for the first-passage density from level x > 0."""
-    tl, xl = _LD(t), _LD(x)
-    lm = _LD(lam) * _LD(mu)
-    w = lm * tl * tl
-    z0 = 2.0 * np.sqrt(lm * tl * (tl + xl))
-    # raw I_0(z0), safe because this route only runs for moderate z0
-    i0_raw = _ibar(0, np.array([z0]))[0] * np.exp(z0)
-    acc = i0_raw
-    cache: dict[int, np.longdouble] = {}
-    pref = _LD(1.0)  # (lam mu t x)^r / (r! (r+1)!)
-    ratio_tx = tl / xl
-    small = 0
-    r = 0
-    while True:
-        cj = _LD(1.0)  # C(r, j) (t/x)^j
-        inner = _LD(0.0)
-        for j in range(r + 1):
-            inner = inner + cj * (j + r + 1.0) * _bracket_deficit(j + r, w, cache)
-            cj = cj * (r - j) / ((j + 1.0)) * ratio_tx
-        contrib = pref * inner / 2.0
-        acc = acc + contrib
-        if abs(contrib) <= _LD(ctrl.rel_tol) * abs(acc):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                break
-        else:
-            small = 0
-        r += 1
-        if r >= ctrl.max_terms:
-            raise ConvergenceError("psi_x_series", abs(float(contrib)), r)
-        pref = pref * lm * tl * xl / (r * (r + 1.0))
-    laml, mul = _LD(lam), _LD(mu)
-    return float(laml * np.exp(-(laml + mul) * tl - mul * xl) * acc)
-
-
-def _psi_x_bessel(tarr: np.ndarray, x: float, lam: float, mu: float, ctrl: SeriesControl):
+def _psi_x_bessel(tarr: np.ndarray, x: float, lam: float, mu: float) -> np.ndarray:
     """Bessel-mixture route: the first passage from level x is the boundary
     first passage plus a Poisson(mu*x) number of independent busy periods,
     which collapses the double series to a single Bessel-order sum.
@@ -316,54 +297,28 @@ def _psi_x_bessel(tarr: np.ndarray, x: float, lam: float, mu: float, ctrl: Serie
     mux = mul * _LD(x)
     z = 2.0 * tl * np.sqrt(laml * mul)
     m_guess = float(mux * srho)
-    m_max = int(m_guess + 10.0 * math.sqrt(m_guess + 4.0)) + 25
-    for _ in range(4):
-        sweep = _bessel_i_scaled_sweep(m_max + 1, z)
-        total = np.zeros_like(tl)
-        coef = srho  # (mux)^m/m! * (m+1) * srho^(m+1) at m = 0
-        last = None
-        for m in range(m_max + 1):
-            last = coef * sweep[m + 1]
-            total = total + last
-            coef = coef * mux * srho * (m + 2.0) / ((m + 1.0) * (m + 1.0))
-        if np.all(last <= 1e-17 * total + _TAIL_FLOOR):
-            decay = (np.sqrt(laml) - np.sqrt(mul)) ** 2
-            return np.asarray(total * np.exp(-mux - decay * tl) / tl, dtype=float)
-        m_max = int(1.6 * m_max) + 10
-    raise ConvergenceError("psi_x_series: Bessel-order sum", float(np.max(last)), m_max)
-
-
-def _psi_level(t: float, level: float, p: ModelParams, ctrl: SeriesControl) -> float:
-    """First-passage density at time t from an arbitrary starting level."""
-    if level == 0.0:
-        return float(psi0(t, p, ctrl))
-    if t * math.sqrt(p.lam * p.mu) <= _PSI_SERIES_CUTOFF:
-        return _psi_x_printed(t, level, p.lam, p.mu, ctrl)
-    return float(_psi_x_bessel(np.array([t], dtype=_LD), level, p.lam, p.mu, ctrl)[0])
+    n_max = int(m_guess + 10.0 * math.sqrt(m_guess + 4.0)) + 26
+    # order k carries (mux)^(k-1)/(k-1)! * k * srho^k
+    total = _bessel_order_sum(z, srho, lambda k: mux * srho * (k + 1.0) / (k * k), n_max)
+    decay = (np.sqrt(laml) - np.sqrt(mul)) ** 2
+    return np.asarray(total * np.exp(-mux - decay * tl) / tl, dtype=float)
 
 
 def psi_x_series(t, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL):
     """Series route for the first-passage density from height ``p.x`` > 0.
 
-    Scalar or array ``t > 0``.  Small time-scale arguments use the direct
-    double series; larger ones switch to the equivalent Bessel-mixture sum
-    (the two agree to full precision on the overlap band, which the test
-    suite checks).
+    Scalar or array ``t > 0``.  Every t goes through the Bessel-order
+    mixture, which runs to machine precision, so ``ctrl`` is accepted for
+    signature uniformity only.  The paper's printed double series and the
+    quadrature route :func:`psi_x_integral` stay as independent cross-checks
+    in the test suite and in ``verify``.
     """
     if not p.x > 0.0:
         raise DomainError("psi_x_series: requires x > 0; use psi0 for a boundary start")
     ta, scalar = _as_batch(t)
-    if np.any(np.asarray(ta, float) <= 0.0):
+    if np.any(ta <= 0.0):
         raise DomainError("psi_x_series: requires t > 0")
-    tf = np.asarray(ta, float)
-    cut = _PSI_SERIES_CUTOFF / math.sqrt(p.lam * p.mu)
-    out = np.empty_like(tf)
-    small = tf <= cut
-    if np.any(small):
-        out[small] = [_psi_x_printed(float(v), p.x, p.lam, p.mu, ctrl) for v in tf[small]]
-    if np.any(~small):
-        out[~small] = _psi_x_bessel(ta[~small], p.x, p.lam, p.mu, ctrl)
-    return _ret(out, scalar)
+    return _ret(_psi_x_bessel(ta, p.x, p.lam, p.mu), scalar)
 
 
 def psi_x_integral(t: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -458,83 +413,22 @@ def _pdf_a0_bessel(yarr: np.ndarray, p: ModelParams) -> np.ndarray:
     z = yl * np.sqrt(lam * mu)
     zmax = float(np.max(z))
     lng = math.log(float(g)) if g > 0 else -math.inf
-    m_max = int(zmax * max(lng, 0.0) + math.sqrt(92.0 * zmax + 4.0)) + 40
-    for _ in range(4):
-        sweep = _bessel_i_scaled_sweep(m_max, z)
-        total = np.zeros_like(yl)
-        coef = srho  # m * sqrt(rho) * g^(m-1) at m = 1
-        last = None
-        for m in range(1, m_max + 1):
-            last = coef * sweep[m]
-            total = total + last
-            coef = coef * g * (m + 1.0) / m
-        if np.all(last <= 1e-17 * total + _TAIL_FLOOR):
-            decay = (np.sqrt(lam) - np.sqrt(mu)) ** 2 / 2.0
-            return np.asarray(alpha / yl * np.exp(-decay * yl) * total, dtype=float)
-        m_max = int(1.6 * m_max) + 20
-    raise ConvergenceError("pdf_a0: Bessel-order sum", float(np.max(last)), m_max)
+    n_max = int(zmax * max(lng, 0.0) + math.sqrt(92.0 * zmax + 4.0)) + 40
+    # order m carries m * sqrt(rho) * g^(m-1)
+    total = _bessel_order_sum(z, srho, lambda k: g * (k + 1.0) / k, n_max)
+    decay = (np.sqrt(lam) - np.sqrt(mu)) ** 2 / 2.0
+    return np.asarray(alpha / yl * np.exp(-decay * yl) * total, dtype=float)
 
 
-def _pdf_a0_scalar_series(y: float, p: ModelParams, ctrl: SeriesControl, combined: bool) -> float:
-    """Direct double-series routes for the absorption-time density.
-
-    ``combined=True`` uses the single-sign inner series; ``combined=False``
-    evaluates the inner part as a difference of two 1F2 values.  Both are
-    exact rearrangements of each other, kept for cross-validation.
-    """
-    lam, mu, alpha = p.lam, p.mu, p.alpha
-    w = lam * mu * y * y / 4.0
-    wl = _LD(w)
-    zl = _LD(y) * np.sqrt(_LD(lam) * _LD(mu))
-    acc = np.sqrt(_LD(lam) / _LD(mu)) * _ibar(1, np.array([zl]))[0] * np.exp(zl)
-    # term m >= 2: (lam y/2)^m (1-alpha)^(m-1) / ((m-1) (m-1)!) * bracket_m
-    pref = _LD(lam) * _LD(y) / 2.0  # (lam y / 2)^m (1-alpha)^(m-1) / (m-1)! at m = 1
-    small = 0
-    m = 2
-    while True:
-        pref = pref * _LD(lam) * _LD(y) / 2.0 * (1.0 - alpha) / (m - 1.0)
-        if combined:
-            # bracket = m (m-1) sum_n w^n / ((m+n) (m)_n n!)
-            u = _LD(1.0) / m  # n = 0 term of the inner sum
-            s = u
-            n = 0
-            while abs(u) > abs(s) * _EPS_LD:
-                u = u * wl / ((n + 1.0) * (m + n + 1.0))
-                s = s + u
-                n += 1
-                if n > 100000:
-                    raise ConvergenceError("pdf_a0 inner series", abs(float(u)), n)
-            bracket = m * (m - 1.0) * s
-        else:
-            bracket = _LD(
-                2.0 * m * hyper_1f2((m - 1) / 2.0, (m + 1) / 2.0, float(m), w, ctrl)
-                - (m + 1.0) * hyper_1f2((m - 1) / 2.0, (m + 1) / 2.0, m + 1.0, w, ctrl)
-            )
-        contrib = pref / (m - 1.0) * bracket
-        acc = acc + contrib
-        if abs(contrib) <= _LD(ctrl.rel_tol) * abs(acc):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                break
-        else:
-            small = 0
-        m += 1
-        if m - 1 >= ctrl.max_terms:
-            raise ConvergenceError("pdf_a0 series", abs(float(contrib)), m)
-    return float(_LD(alpha) / _LD(y) * np.exp(_LD(-(lam + mu) * y / 2.0)) * acc)
-
-
-def pdf_a0(y, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL, method: str = "bessel"):
+def pdf_a0(y, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL):
     """Density of the total lifetime until absorption from a boundary start.
 
-    A geometric number of cycles is summed; ``alpha = 1`` collapses to
-    :func:`pdf_c0`.  ``method`` selects the evaluation route: ``bessel``
-    (default, vectorized, good for tail integration), or the direct series
-    forms ``bracket`` and ``printed`` used for cross-checks.  y = 0 returns
-    the right-limit alpha * lam / 2.
+    A geometric number of cycles is summed and collapsed to one vectorized
+    Bessel-order mixture, good for tail integration; ``alpha = 1`` reduces
+    to :func:`pdf_c0`.  The mixture runs to machine precision, so ``ctrl``
+    is accepted for signature uniformity only.  y = 0 returns the
+    right-limit alpha * lam / 2.
     """
-    if method not in ("bessel", "bracket", "printed"):
-        raise DomainError(f"pdf_a0: unknown method {method!r}")
     ya, scalar = _as_batch(y)
     yf = np.asarray(ya, float)
     if np.any(yf < 0.0):
@@ -542,12 +436,7 @@ def pdf_a0(y, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL, method: str
     vals = np.full_like(yf, 0.5 * p.alpha * p.lam)
     pos = yf > 0.0
     if np.any(pos):
-        if method == "bessel":
-            vals[pos] = _pdf_a0_bessel(ya[pos], p)
-        else:
-            vals[pos] = np.array(
-                [_pdf_a0_scalar_series(float(v), p, ctrl, method == "bracket") for v in yf[pos]]
-            )
+        vals[pos] = _pdf_a0_bessel(ya[pos], p)
     return _ret(vals, scalar)
 
 
@@ -837,7 +726,7 @@ def joint_subdist(
     if not 0.0 <= y <= t:
         raise DomainError(f"joint_subdist: requires 0 <= y <= t, got y={y}")
     lam, mu = p.lam, p.mu
-    part1 = math.exp(-lam * t) * _psi_level(tau - t, t, p, ctrl)
+    part1 = math.exp(-lam * t) * float(_psi_x_bessel(np.array([tau - t]), t, lam, mu)[0])
     if y == 0.0:
         return part1
 
@@ -939,7 +828,8 @@ def cond_atom(t: float, tau: float, p: ModelParams, ctrl: SeriesControl = DEFAUL
     den = float(psi0(tau, p, ctrl))
     if den <= 0.0:
         raise DomainError(f"cond_atom: conditioning density vanishes at tau={tau}")
-    return math.exp(-p.lam * t) * _psi_level(tau - t, t, p, ctrl) / den
+    psi_t = float(_psi_x_bessel(np.array([tau - t]), t, p.lam, p.mu)[0])
+    return math.exp(-p.lam * t) * psi_t / den
 
 
 def cond_cdf_within_cycle(

@@ -215,7 +215,7 @@ def cmd_eval(args) -> int:
         vals = np.asarray(analytic.pdf_cx(gv, p, ctrl), float)
         header = f"y,pdf_cx {_echo(p, False, True)}"
     else:
-        vals = np.asarray(analytic.pdf_a0(gv, p, ctrl, method=args.method), float)
+        vals = np.asarray(analytic.pdf_a0(gv, p, ctrl), float)
         header = f"y,pdf_a0 {_echo(p, True, False)}"
     lines = [header] + [",".join([_fmt(g), _fmt(v)]) for g, v in zip(gv, vals)]
     _emit(lines, args.out)
@@ -632,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--t", type=float, default=None, help="observation time (conditional targets)")
     ev.add_argument("--tau", type=float, default=None,
                     help="conditioning first-return value (conditional targets)")
-    ev.add_argument("--method", default="bessel", choices=["bessel", "bracket", "printed"],
-                    help="evaluation route for pdf-a0 (default bessel)")
     ev.add_argument("--preset", default=None,
                     choices=["fig2-left", "fig2-right", "fig3-left", "fig3-right", "fig6"],
                     help="emit a standard multi-curve table instead of a single target")

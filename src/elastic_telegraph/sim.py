@@ -257,6 +257,12 @@ def _run_batch(gen: np.random.Generator, p: ModelParams, k: int):
     return res_c, res_m, res_a
 
 
+def _run_batches(gen: np.random.Generator, p: ModelParams, n: int):
+    """Simulate n paths in chunks of at most a million; (c_x, m, a_x) arrays."""
+    parts = [_run_batch(gen, p, min(k, 1_000_000)) for k in range(n, 0, -1_000_000)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 _NAMED_REDUCERS = ("c_x", "m", "a_x")
 
 
@@ -283,21 +289,8 @@ def sample_many(
         vals = np.array([float(reducer(_simulate_one(gen, p, False))) for _ in range(int(n))])
         name = getattr(reducer, "__name__", "callable")
     elif reducer in _NAMED_REDUCERS:
-        parts_c, parts_m, parts_a = [], [], []
-        remaining = int(n)
-        while remaining:
-            k = min(remaining, 1_000_000)
-            c, m, a = _run_batch(gen, p, k)
-            parts_c.append(c)
-            parts_m.append(m)
-            parts_a.append(a)
-            remaining -= k
-        arrays = {
-            "c_x": np.concatenate(parts_c),
-            "m": np.concatenate(parts_m).astype(float),
-            "a_x": np.concatenate(parts_a),
-        }
-        vals = arrays[reducer]
+        c, m, a = _run_batches(gen, p, int(n))
+        vals = {"c_x": c, "m": m.astype(float), "a_x": a}[reducer]
         name = reducer
     else:
         raise DomainError(
@@ -324,17 +317,7 @@ def sample_paths(p: ModelParams, rng: RngSpec, n: int):
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise DomainError(f"sample_paths: n must be an integer >= 1, got {n!r}")
-    gen = rng.generator()
-    parts_c, parts_m, parts_a = [], [], []
-    remaining = int(n)
-    while remaining:
-        k = min(remaining, 1_000_000)
-        c, m, a = _run_batch(gen, p, k)
-        parts_c.append(c)
-        parts_m.append(m)
-        parts_a.append(a)
-        remaining -= k
-    return np.concatenate(parts_c), np.concatenate(parts_m), np.concatenate(parts_a)
+    return _run_batches(rng.generator(), p, int(n))
 
 
 def sample_within_cycle(

@@ -169,26 +169,6 @@ def hyper_2f1(
     )
 
 
-def rising_factorial(d: float, n: int) -> float:
-    """Pochhammer symbol (d)_n = d (d+1) ... (d+n-1), with (d)_0 = 1."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"rising_factorial: n must be an integer >= 0, got {n!r}")
-    out = _LD(1.0)
-    for i in range(int(n)):
-        out *= _LD(d) + i
-    return float(out)
-
-
-def gen_binom(x: float, h: int) -> float:
-    """Generalized binomial coefficient C(x, h) = x (x-1) ... (x-h+1) / h!."""
-    if not isinstance(h, (int, np.integer)) or isinstance(h, bool) or h < 0:
-        raise DomainError(f"gen_binom: h must be an integer >= 0, got {h!r}")
-    out = _LD(1.0)
-    for i in range(int(h)):
-        out *= (_LD(x) - i) / (i + 1)
-    return float(out)
-
-
 # ---------------------------------------------------------------------------
 # Internal array kernels.  These evaluate exponentially scaled Bessel values
 # e^{-z} I_m(z) elementwise over longdouble arrays, to machine precision,

@@ -20,7 +20,6 @@ from elastic_telegraph.analytic import (
     ModelParams,
     _a0_moment_coeffs,
     _psi_x_bessel,
-    _psi_x_printed,
     closed_mean_var,
     cond_atom,
     cond_cdf_within_cycle,
@@ -52,6 +51,7 @@ from elastic_telegraph.analytic import (
 from elastic_telegraph.errors import ConvergenceError, DomainError
 from elastic_telegraph.numeric import integrate, numeric_mgf, numeric_moment
 from elastic_telegraph.specfun import DEFAULT_CONTROL, SeriesControl
+from reference_routes import _pdf_a0_scalar_series, _psi_x_printed
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -243,6 +243,13 @@ def test_psi_x_series_frozen(t, x, want):
     assert psi_x_series(t, with_(P, x=x)) == pytest.approx(want, rel=1e-12)
 
 
+def test_psi_x_series_large_height():
+    # the printed double series cancels most of its digits here and comes
+    # out 19% high; reference agreed by two mpmath routes at 80 digits
+    p = ModelParams(lam=10.0, mu=1.0, x=20.0)
+    assert psi_x_series(3.95, p) == pytest.approx(0.061865407534733867128544, rel=1e-12)
+
+
 @pytest.mark.parametrize("t, x", [(0.5, 1.0), (1.0, 1.0), (1.0, 2.0)])
 def test_psi_x_series_vs_quadrature(t, x):
     p = with_(P, x=x)
@@ -250,14 +257,16 @@ def test_psi_x_series_vs_quadrature(t, x):
 
 
 def test_psi_x_internal_routes_agree_on_overlap_band():
-    # the double series and the Bessel-order mixture are used on opposite
-    # sides of the time cutoff; on the overlap band both are cheap and
-    # must agree to near machine precision
+    # the printed double series (test oracle) against the production
+    # Bessel-order mixture over the band t*sqrt(lam*mu) in [0.01, 25],
+    # for rate triples on which the printed series does not cancel
     ctrl = SeriesControl(rel_tol=1e-15, max_terms=2000)
-    for t in (20.0, 25.0, 30.0):
-        direct = _psi_x_printed(t, 1.0, P.lam, P.mu, ctrl)
-        mixture = float(_psi_x_bessel(np.array([t]), 1.0, P.lam, P.mu, ctrl)[0])
-        assert mixture == pytest.approx(direct, rel=1e-12)
+    for lam, mu, x in ((2.0, 0.5, 1.0), (2.0, 1.5, 2.0), (2.0, 0.1, 1.0), (1000.0, 1.0, 1.0)):
+        ts = np.geomspace(0.01, 25.0, 13) / math.sqrt(lam * mu)
+        mixture = _psi_x_bessel(ts, x, lam, mu)
+        for t, got in zip(ts, mixture):
+            direct = _psi_x_printed(float(t), x, lam, mu, ctrl)
+            assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_psi_x_small_height_approaches_boundary_law():
@@ -267,7 +276,7 @@ def test_psi_x_small_height_approaches_boundary_law():
 
 
 def test_psi_x_normalizes_across_route_switch():
-    # the semi-infinite integral spans both internal evaluation routes
+    # the semi-infinite integral spans small and large time scales alike
     res = integrate(lambda t: psi_x_series(t, P), 0.0, np.inf, tol=1e-10)
     assert res.value == pytest.approx(1.0, rel=1e-8)
 
@@ -337,8 +346,11 @@ def test_pdf_cx_support_and_boundary():
 
 
 def test_pdf_cx_normalizes():
-    res = integrate(lambda y: pdf_cx(y, P), P.x, np.inf, tol=1e-10)
-    assert res.value == pytest.approx(1.0, rel=1e-8)
+    # the two large-height sets are where the paper's printed double series
+    # loses its digits (it integrated to 1.058 and 1.0008 there)
+    for p in (P, ModelParams(lam=10.0, mu=1.0, x=20.0), ModelParams(lam=1000.0, mu=1.0, x=20.0)):
+        res = integrate(lambda y: pdf_cx(y, p), p.x, np.inf, tol=1e-10)
+        assert res.value == pytest.approx(1.0, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -378,12 +390,13 @@ def test_pdf_a0_boundary_right_limit():
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_pdf_a0_methods_agree(alpha):
+    # production Bessel mixture against the two direct double-series oracles
     p = with_(P, alpha=alpha)
     ctrl = SeriesControl(rel_tol=1e-13, max_terms=2000)
     for y in (0.5, 2.0, 5.0):
         base = pdf_a0(y, p)
-        assert pdf_a0(y, p, ctrl, method="bracket") == pytest.approx(base, rel=1e-9)
-        assert pdf_a0(y, p, ctrl, method="printed") == pytest.approx(base, rel=1e-9)
+        assert _pdf_a0_scalar_series(y, p, ctrl, combined=True) == pytest.approx(base, rel=1e-9)
+        assert _pdf_a0_scalar_series(y, p, ctrl, combined=False) == pytest.approx(base, rel=1e-9)
 
 
 def test_pdf_a0_normalizes():
@@ -758,8 +771,6 @@ def test_domain_errors_everywhere():
         pdf_cx(2.0, with_(P, x=0.0))
     with pytest.raises(DomainError):
         pdf_a0(-1.0, P)
-    with pytest.raises(DomainError):
-        pdf_a0(1.0, P, method="nope")
     with pytest.raises(DomainError):
         geometric_pmf(0, P)
     with pytest.raises(DomainError):

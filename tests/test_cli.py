@@ -125,20 +125,6 @@ def test_eval_cond_cdf(capsys):
     assert vals[0] == analytic.cond_cdf_within_cycle(0.5, 5.0, 6.0, p)
 
 
-def test_eval_method_routes_agree(capsys):
-    base = run_cli(
-        capsys, "eval", "pdf-a0", "--alpha", "0.5", "--grid", "0:5:6",
-    )
-    other = run_cli(
-        capsys, "eval", "pdf-a0", "--alpha", "0.5", "--grid", "0:5:6",
-        "--method", "bracket",
-    )
-    _, rows_b = parse_csv(base[1])
-    _, rows_k = parse_csv(other[1])
-    for rb, rk in zip(rows_b, rows_k):
-        assert float(rk[1]) == pytest.approx(float(rb[1]), rel=1e-9)
-
-
 def test_eval_preset_structure(capsys):
     code, out, _ = run_cli(capsys, "eval", "--preset", "fig2-left")
     assert code == 0
