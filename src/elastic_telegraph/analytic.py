@@ -17,6 +17,8 @@ covered here, all for a motion started upward at height ``x``:
   time from the boundary, of the first passage to the boundary from
   ``x``, and of the total lifetime until absorption from the boundary.
 * MGFs and raw moments of all four lifetimes, plus closed mean/variance.
+  Every raw moment is read off the Taylor coefficients of its MGF, which
+  one exact recursion on the shared radical produces (``_mgf_taylor``).
 * ``joint_subdist`` / ``cond_atom`` / ``cond_cdf_within_cycle``: joint
   law of the accumulated jumps and the first return, and the position law
   at an intermediate time conditioned on the return time.
@@ -24,14 +26,13 @@ covered here, all for a motion started upward at height ``x``:
 Everywhere below, series accumulate in extended precision and Bessel
 factors are evaluated in exponentially scaled form, so no intermediate
 overflows for any argument a tail integration can produce.  The
-``SeriesControl`` budget governs the truncated double sums; the scaled
-Bessel kernels and the Bessel-order mixtures built on them run to machine
-precision.
+``SeriesControl`` budget governs the truncated series of the conditional
+law; the scaled Bessel kernels, the Bessel-order mixtures built on them and
+the moment recursion run to machine precision.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -47,10 +48,7 @@ from .specfun import (
     _bessel_i_scaled_sweep,
     hyper_0f1,
     hyper_1f2,
-    hyper_2f1,
 )
-
-logger = logging.getLogger(__name__)
 
 # additive floor for tail checks on longdouble accumulators; built as a
 # power because the value underflows to 0 as a float literal
@@ -88,11 +86,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class MgfDomain:
-    """Open upper MGF abscissas: ``bound_c`` for the lifetime family
-    (cycle and absorption times), ``bound_t`` for the half-time family."""
+    """Upper MGF abscissas: ``bound_c`` for the cycle and first-visit times,
+    ``bound_t`` for the half-time family, ``bound_a`` for absorption times."""
 
     bound_c: float
     bound_t: float
+    bound_a: float
 
 
 @dataclass(frozen=True)
@@ -446,9 +445,17 @@ def pdf_a0(y, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL):
 
 
 def mgf_domain(p: ModelParams) -> MgfDomain:
-    """Upper abscissas of MGF existence for the two time scales."""
+    """Upper abscissas of MGF existence for the two time scales.
+
+    For alpha < 1 - sqrt(mu/lam) the absorption-time MGF has a pole at
+    s* = alpha (lam - mu / (1 - alpha)) / 2 < bound_c, where the cycle MGF
+    reaches 1 / (1 - alpha), and ``bound_a`` is s*; otherwise it is bound_c.
+    """
     b = (math.sqrt(p.lam) - math.sqrt(p.mu)) ** 2
-    return MgfDomain(bound_c=b / 2.0, bound_t=b)
+    bound_a = b / 2.0
+    if p.alpha < 1.0 - math.sqrt(p.mu / p.lam):
+        bound_a = min(bound_a, p.alpha * (p.lam - p.mu / (1.0 - p.alpha)) / 2.0)
+    return MgfDomain(bound_c=b / 2.0, bound_t=b, bound_a=bound_a)
 
 
 def _radical_c(s: float, p: ModelParams) -> float:
@@ -459,6 +466,16 @@ def _radical_c(s: float, p: ModelParams) -> float:
     return math.sqrt(max(v * v - 4.0 * p.lam * p.mu, 0.0))
 
 
+def _height_scaled(m0: float, p: ModelParams, u: float, what: str) -> float:
+    """m0 * exp(x u / 2): a boundary-start MGF value times the starting-height
+    factor, or DomainError when the product overflows a double."""
+    with np.errstate(over="ignore"):
+        v = m0 * float(np.exp(0.5 * p.x * u))
+    if math.isinf(v):
+        raise DomainError(f"{what}: starting-height factor exp({0.5 * p.x * u:.6g}) overflows a double")
+    return v
+
+
 def mgf_c0(s: float, p: ModelParams) -> float:
     """MGF of the boundary-to-boundary cycle duration, s <= bound_c."""
     s = float(s)
@@ -467,17 +484,15 @@ def mgf_c0(s: float, p: ModelParams) -> float:
 
 
 def mgf_a0(s: float, p: ModelParams) -> float:
-    """MGF of the absorption time from the boundary, s <= bound_c.
-
-    For small alpha the distribution's true abscissa sits strictly below
-    ``bound_c`` (the geometric cycle count thickens the tail); values of s
-    between the two are still returned as the closed form's analytic
-    continuation.
-    """
+    """MGF of the absorption time from the boundary, s <= bound_a; s = bound_a
+    raises :class:`DomainError` when it is the pole below ``bound_c``."""
     s = float(s)
     r = _radical_c(s, p)
+    dom = mgf_domain(p)
+    if dom.bound_a < dom.bound_c and s >= dom.bound_a:
+        raise DomainError(f"mgf_a0: requires s < {dom.bound_a:.6g} for this parameter set, got s={s}")
     den = 2.0 * p.lam * (p.alpha - 1.0) + (p.lam + p.mu - 2.0 * s) + r
-    if den == 0.0:
+    if not den > 0.0:
         raise DomainError(f"mgf_a0: closed form singular at s={s}")
     return 2.0 * p.alpha * p.lam / den
 
@@ -491,21 +506,22 @@ def mgf_tx(s: float, p: ModelParams) -> float:
         raise DomainError(f"mgf_tx: requires s <= {b:.6g}, got s={s}")
     v = p.lam + p.mu - s
     q = math.sqrt(max(v * v - 4.0 * p.lam * p.mu, 0.0))
-    return (v - q) / (2.0 * p.mu) * math.exp(p.x / 2.0 * (p.lam - p.mu - s - q))
+    return _height_scaled((v - q) / (2.0 * p.mu), p, p.lam - p.mu - s - q, "mgf_tx")
 
 
 def mgf_cx(s: float, p: ModelParams) -> float:
     """MGF of the first boundary-visit time from ``p.x``, s <= bound_c."""
     s = float(s)
     r = _radical_c(s, p)
-    return mgf_c0(s, p) * math.exp(p.x / 2.0 * (p.lam - p.mu - r))
+    return _height_scaled(mgf_c0(s, p), p, p.lam - p.mu - r, "mgf_cx")
 
 
 def mgf_ax(s: float, p: ModelParams) -> float:
-    """MGF of the total absorption time from ``p.x``, s <= bound_c."""
+    """MGF of the total absorption time from ``p.x``, with the domain of
+    :func:`mgf_a0`."""
     s = float(s)
     r = _radical_c(s, p)
-    return mgf_a0(s, p) * math.exp(p.x / 2.0 * (p.lam - p.mu - r))
+    return _height_scaled(mgf_a0(s, p), p, p.lam - p.mu - r, "mgf_ax")
 
 
 # ---------------------------------------------------------------------------
@@ -513,180 +529,72 @@ def mgf_ax(s: float, p: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_moment_order(n, what: str) -> int:
+def _mgf_taylor(n: int, p: ModelParams) -> np.ndarray:
+    """Taylor coefficients in s, orders 0..n, of the MGFs of C0, A0, C_x and
+    A_x (rows 0..3), in longdouble; inf or nan past the longdouble range.
+
+    All four are built from r(s) = sqrt((lam+mu-2s)^2 - 4 lam mu).  With
+    r = lam + mu - 2s - 2 mu c, the square-root recursion for r becomes
+    c_k = (2 c_{k-1} + mu sum_{j=1}^{k-1} c_j c_{k-j}) / (lam - mu) for the
+    cycle MGF c, a sum of positive terms (r_1 + 2 would cancel at large
+    lam/mu).  A0 = alpha c / (1 - (1-alpha) c) follows by the renewal
+    recursion, the height factor exp(x (lam - mu - r) / 2) =
+    exp(x (s + mu (c - 1))) by the exponential recursion
+    e_k = (1/k) sum j f_j e_{k-j}, and C_x, A_x are the Cauchy products
+    c e and a e (Knuth, TAOCP vol. 2, sec. 4.7).
+    """
+    lam, mu, x = _LD(p.lam), _LD(p.mu), _LD(p.x)
+    ratio = _LD((1.0 - p.alpha) / p.alpha)
+    c, a, e = np.zeros((3, n + 1), dtype=_LD)
+    c[0] = a[0] = e[0] = 1.0
+    for k in range(1, n + 1):
+        c[k] = (2.0 * c[k - 1] + mu * (c[1:k] @ c[k - 1 : 0 : -1])) / (lam - mu)
+        a[k] = c[k] + ratio * (c[1 : k + 1] @ a[k - 1 :: -1])
+    jf = np.arange(n + 1, dtype=_LD) * x * mu * c  # j f_j, with f_1 = x (1 + mu c_1)
+    jf[1:2] += x
+    for k in range(1, n + 1):
+        e[k] = (jf[1 : k + 1] @ e[k - 1 :: -1]) / k
+    return np.stack([c, a, np.convolve(c, e)[: n + 1], np.convolve(a, e)[: n + 1]])
+
+
+def _moment(n, p: ModelParams, row: int, what: str) -> float:
+    """n! times the order-n Taylor coefficient of one row of :func:`_mgf_taylor`."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"{what}: order must be an integer >= 0, got {n!r}")
-    return int(n)
+    n = int(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = _mgf_taylor(n, p)[row, n]
+        value = float(coef * np.prod(np.arange(1, n + 1, dtype=_LD)))
+    if not math.isfinite(value):
+        raise DomainError(f"{what}: the order-{n} moment is not finite in double precision")
+    return value
 
 
 def moment_c0(n: int, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """n-th raw moment of the cycle duration, via the closed Gauss-2F1 form.
+    """n-th raw moment of the cycle duration.
 
-    The 2F1 argument approaches 1 as mu approaches lam, where the series
-    needs a larger ``ctrl.max_terms`` budget; exceeding the budget raises
-    :class:`ConvergenceError` rather than silently truncating.
+    Each ``moment_*`` is n! times a Taylor coefficient from the exact
+    recursion :func:`_mgf_taylor`, so ``ctrl`` is accepted for signature
+    uniformity only.  A moment not finite in double raises DomainError.
     """
-    n = _check_moment_order(n, "moment_c0")
-    if n == 0:
-        return 1.0
-    lam, mu = p.lam, p.mu
-    z = 4.0 * lam * mu / (lam + mu) ** 2
-    f = hyper_2f1((n + 1) / 2.0, (n + 2) / 2.0, 2.0, z, ctrl)
-    return float(
-        _LD(lam) * _LD(2.0) ** n * _LD(math.factorial(n)) / _LD(lam + mu) ** (n + 1) * _LD(f)
-    )
-
-
-def _c0_moment_coeffs(n: int, p: ModelParams, ctrl: SeriesControl) -> list:
-    """Taylor coefficients of the cycle MGF: moment_c0(k)/k! for k = 0..n."""
-    out = [_LD(1.0)]
-    for k in range(1, n + 1):
-        out.append(_LD(moment_c0(k, p, ctrl)) / _LD(math.factorial(k)))
-    return out
-
-
-def _a0_degenerate(p: ModelParams) -> bool:
-    # the closed h-sum divides by powers of 4*lam*alpha*(mu + lam*(alpha-1));
-    # near its zero the sum cancels catastrophically, so switch routes there
-    return abs(p.mu + p.lam * (p.alpha - 1.0)) <= 1e-3 * (p.lam + p.mu)
-
-
-def _a0_moment_coeffs(n: int, p: ModelParams, ctrl: SeriesControl) -> list:
-    """Taylor coefficients of the absorption-time MGF at a boundary start,
-    by the stable renewal-style recursion (used for the degenerate branch
-    and as an internal cross-route)."""
-    c = _c0_moment_coeffs(n, p, ctrl)
-    ratio = _LD((1.0 - p.alpha) / p.alpha)
-    a = [_LD(1.0)]
-    for k in range(1, n + 1):
-        s = c[k]
-        for i in range(1, k + 1):
-            s = s + ratio * c[i] * a[k - i]
-        a.append(s)
-    return a
+    return _moment(n, p, 0, "moment_c0")
 
 
 def moment_a0(n: int, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """n-th raw moment of the absorption time from the boundary.
-
-    Uses the closed finite h-sum; when its leading denominator degenerates
-    (alpha near 1 - mu/lam) the equivalent renewal recursion takes over.
-    """
-    n = _check_moment_order(n, "moment_a0")
-    if n == 0:
-        return 1.0
-    if p.alpha == 1.0:
-        return moment_c0(n, p, ctrl)
-    lam, mu, alpha = p.lam, p.mu, p.alpha
-    if _a0_degenerate(p):
-        a = _a0_moment_coeffs(n, p, ctrl)
-        return float(_LD(math.factorial(n)) * a[n])
-    d = _LD(4.0 * lam * alpha * (mu + lam * (alpha - 1.0)))
-    e = _LD(8.0 * lam * (alpha - 1.0))
-    chat = _c0_moment_coeffs(n, p, ctrl)
-    total = _LD(0.0)
-    for h in range(n + 1):
-        if h == 0:
-            ch = _LD(2.0 * mu + 2.0 * lam * (alpha - 1.0))
-        else:
-            ch = 2.0 * _LD(mu) * chat[h]
-        total = total + d**h * e ** (n - h) * ch
-    return float(2.0 * _LD(alpha) * _LD(lam) * _LD(math.factorial(n)) / d ** (n + 1) * total)
-
-
-def _position_factors(n: int, p: ModelParams, ctrl: SeriesControl) -> list:
-    """Taylor coefficients (in s) of the starting-height MGF factor
-    exp(x/2 (lam - mu - radical)), orders 0..n.
-
-    The h-th coefficient mixes generalized binomials of half-integer
-    arguments; the factored textbook form of that mix hits removable
-    0*pole products at even j with h > j/2, so the direct convolution
-    over the binomial pair is used instead (exact at every index).
-    """
-    x, lam, mu = p.x, p.lam, p.mu
-    if x == 0.0:
-        return [_LD(1.0)] + [_LD(0.0)] * n
-    sl, sm = math.sqrt(lam), math.sqrt(mu)
-    beta = _LD(-2.0 / (sl - sm) ** 2)
-    w = _LD(((sl - sm) / (sl + sm)) ** 2)
-    arg = _LD(-(lam - mu) * x / 2.0)
-    acc = [_LD(0.0)] * (n + 1)
-    tj = _LD(1.0)  # arg^j / j!
-    small = 0
-    degenerate = 0
-    done = False
-    for j in range(int(ctrl.max_terms)):
-        half = j / 2.0
-        gb = [_LD(1.0)]
-        for i in range(1, n + 1):
-            gb.append(gb[-1] * (_LD(half) - (i - 1.0)) / i)
-        gw = [gb[i] * w**i for i in range(n + 1)]
-        all_small = True
-        for h in range(n + 1):
-            k_jh = _LD(0.0)
-            for i in range(h + 1):
-                k_jh = k_jh + gw[i] * gb[h - i]
-            contrib = tj * k_jh
-            acc[h] = acc[h] + contrib
-            if abs(contrib) > _LD(ctrl.rel_tol) * max(abs(acc[h]), _LD(1e-30)):
-                all_small = False
-        if j % 2 == 0 and n >= j // 2 + 1:
-            degenerate += 1
-        small = small + 1 if all_small else 0
-        if small >= ctrl.consecutive_small:
-            done = True
-            break
-        tj = tj * arg / (j + 1.0)
-    if not done:
-        raise ConvergenceError("moment position expansion", abs(float(tj)), int(ctrl.max_terms))
-    if degenerate:
-        logger.debug(
-            "position-factor expansion crossed %d index pairs where the factored "
-            "form is 0*pole; direct convolution used",
-            degenerate,
-        )
-    expf = np.exp(_LD(x * (lam - mu) / 2.0))
-    return [expf * beta**h * acc[h] for h in range(n + 1)]
+    """n-th raw moment of the absorption time from the boundary; see :func:`moment_c0`."""
+    return _moment(n, p, 1, "moment_a0")
 
 
 def moment_cx(n: int, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """n-th raw moment of the first boundary-visit time from ``p.x``.
-
-    Cauchy product of the cycle-MGF coefficients with the starting-height
-    factor coefficients; reduces to :func:`moment_c0` at x = 0.
-    """
-    n = _check_moment_order(n, "moment_cx")
-    if n == 0:
-        return 1.0
-    if p.x == 0.0:
-        return moment_c0(n, p, ctrl)
-    e = _position_factors(n, p, ctrl)
-    chat = _c0_moment_coeffs(n, p, ctrl)
-    total = _LD(0.0)
-    for h in range(n + 1):
-        total = total + e[h] * chat[n - h]
-    return float(_LD(math.factorial(n)) * total)
+    """n-th raw moment of the first boundary-visit time from ``p.x``; see
+    :func:`moment_c0`."""
+    return _moment(n, p, 2, "moment_cx")
 
 
 def moment_ax(n: int, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """n-th raw moment of the total absorption time from ``p.x``.
-
-    Same Cauchy product with the boundary absorption-time coefficients;
-    alpha = 1 delegates to :func:`moment_cx`.
-    """
-    n = _check_moment_order(n, "moment_ax")
-    if n == 0:
-        return 1.0
-    if p.alpha == 1.0:
-        return moment_cx(n, p, ctrl)
-    if p.x == 0.0:
-        return moment_a0(n, p, ctrl)
-    e = _position_factors(n, p, ctrl)
-    ahat = [_LD(moment_a0(k, p, ctrl)) / _LD(math.factorial(k)) for k in range(n + 1)]
-    total = _LD(0.0)
-    for h in range(n + 1):
-        total = total + e[h] * ahat[n - h]
-    return float(_LD(math.factorial(n)) * total)
+    """n-th raw moment of the total absorption time from ``p.x``; see
+    :func:`moment_c0`."""
+    return _moment(n, p, 3, "moment_ax")
 
 
 def closed_mean_var(p: ModelParams) -> MeanVar:

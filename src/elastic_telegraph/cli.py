@@ -399,29 +399,19 @@ def _verify_fast(suite: _Suite) -> None:
     suite.add("absorption MGF matches quadrature", d < 1e-8, f"rel diff={d:.3g}")
 
     # three-way moment agreement for the boundary start
-    for n in (1, 2):
-        series = analytic.moment_c0(n, p, ctrl)
-        quad = numeric.numeric_moment(lambda y: analytic.pdf_c0(y, p, ctrl), n, 1e-10)
-        fd = _mgf_d1(lambda s: analytic.mgf_c0(s, p), 0.0, 1e-3) if n == 1 else _mgf_d2(
-            lambda s: analytic.mgf_c0(s, p), 0.0, 1e-3
-        )
-        ok = _rel(series, quad) < 1e-6 and _rel(series, fd) < 1e-4
-        suite.add(
-            f"cycle moment n={n} agrees three ways",
-            ok,
-            f"series={series:.10g} quad={quad:.10g} mgf-fd={fd:.10g}",
-        )
-        series = analytic.moment_a0(n, p, ctrl)
-        quad = numeric.numeric_moment(lambda y: analytic.pdf_a0(y, p, ctrl), n, 1e-10)
-        fd = _mgf_d1(lambda s: analytic.mgf_a0(s, p), 0.0, 1e-3) if n == 1 else _mgf_d2(
-            lambda s: analytic.mgf_a0(s, p), 0.0, 1e-3
-        )
-        ok = _rel(series, quad) < 1e-6 and _rel(series, fd) < 1e-4
-        suite.add(
-            f"absorption moment n={n} agrees three ways",
-            ok,
-            f"series={series:.10g} quad={quad:.10g} mgf-fd={fd:.10g}",
-        )
+    for label, moment, pdf, mgf in (
+        ("cycle", analytic.moment_c0, analytic.pdf_c0, analytic.mgf_c0),
+        ("absorption", analytic.moment_a0, analytic.pdf_a0, analytic.mgf_a0),
+    ):
+        for n in (1, 2):
+            taylor = moment(n, p, ctrl)
+            quad = numeric.numeric_moment(lambda y: pdf(y, p, ctrl), n, 1e-10)
+            fd = (_mgf_d1 if n == 1 else _mgf_d2)(lambda s: mgf(s, p), 0.0, 1e-3)
+            suite.add(
+                f"{label} moment n={n} agrees three ways",
+                _rel(taylor, quad) < 1e-6 and _rel(taylor, fd) < 1e-4,
+                f"taylor={taylor:.10g} quad={quad:.10g} mgf-fd={fd:.10g}",
+            )
 
     # conditional law endpoints
     t, tau = 2.0, 4.0

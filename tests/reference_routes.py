@@ -1,22 +1,26 @@
 """Test-only oracles: the paper's printed double series for the first-passage
-density from level x, and the two direct double-series routes for the
-absorption-time density.
+density from level x, the two direct double-series routes for the
+absorption-time density, and the closed Gauss-2F1 and h-sum forms of the
+cycle and absorption-time moments.
 
-The package evaluates both densities through Bessel-order mixtures.  These
-routes are independent rearrangements of the same closed forms, kept here so
-the tests can reconcile them with the production code.  Nothing under
-``src/`` imports this module.
+The package evaluates both densities through Bessel-order mixtures and all
+moments through one Taylor recursion on the MGFs.  These routes are
+independent rearrangements of the same closed forms, kept here so the tests
+can reconcile them with the production code.  Nothing under ``src/``
+imports this module.
 
 The printed psi_x series loses its digits to cancellation at larger heights
 (at (lam, mu, x, t) = (10, 1, 20, 3.95) it comes out 19% high), so the tests
 compare it only on rate triples where it is stable.
 """
 
+import math
+
 import numpy as np
 
 from elastic_telegraph.analytic import ModelParams, _bracket_deficit, _ibar
 from elastic_telegraph.errors import ConvergenceError
-from elastic_telegraph.specfun import _EPS_LD, _LD, SeriesControl, hyper_1f2
+from elastic_telegraph.specfun import _EPS_LD, _LD, SeriesControl, hyper_1f2, hyper_2f1
 
 
 def _psi_x_printed(t: float, x: float, lam: float, mu: float, ctrl: SeriesControl) -> float:
@@ -102,3 +106,38 @@ def _pdf_a0_scalar_series(y: float, p: ModelParams, ctrl: SeriesControl, combine
         if m - 1 >= ctrl.max_terms:
             raise ConvergenceError("pdf_a0 series", abs(float(contrib)), m)
     return float(_LD(alpha) / _LD(y) * np.exp(_LD(-(lam + mu) * y / 2.0)) * acc)
+
+
+def _moment_c0_2f1(n: int, p: ModelParams, ctrl: SeriesControl) -> float:
+    """n-th raw moment of the cycle duration by the closed Gauss-2F1 form.
+
+    The 2F1 argument approaches 1 as mu approaches lam, where the series
+    needs a larger ``ctrl.max_terms`` budget.
+    """
+    if n == 0:
+        return 1.0
+    lam, mu = p.lam, p.mu
+    z = 4.0 * lam * mu / (lam + mu) ** 2
+    f = hyper_2f1((n + 1) / 2.0, (n + 2) / 2.0, 2.0, z, ctrl)
+    return float(
+        _LD(lam) * _LD(2.0) ** n * _LD(math.factorial(n)) / _LD(lam + mu) ** (n + 1) * _LD(f)
+    )
+
+
+def _moment_a0_hsum(n: int, p: ModelParams, ctrl: SeriesControl) -> float:
+    """n-th raw moment of the absorption time by the closed finite h-sum over
+    the 2F1 cycle moments.
+
+    The sum divides by powers of 4 lam alpha (mu + lam (alpha - 1)) and
+    cancels catastrophically near alpha = 1 - mu/lam.
+    """
+    if n == 0:
+        return 1.0
+    lam, mu, alpha = p.lam, p.mu, p.alpha
+    d = _LD(4.0 * lam * alpha * (mu + lam * (alpha - 1.0)))
+    e = _LD(8.0 * lam * (alpha - 1.0))
+    total = _LD(2.0 * mu + 2.0 * lam * (alpha - 1.0)) * e**n
+    for h in range(1, n + 1):
+        chat = _LD(_moment_c0_2f1(h, p, ctrl)) / _LD(math.factorial(h))
+        total = total + d**h * e ** (n - h) * 2.0 * _LD(mu) * chat
+    return float(2.0 * _LD(alpha) * _LD(lam) * _LD(math.factorial(n)) / d ** (n + 1) * total)

@@ -18,7 +18,6 @@ from elastic_telegraph.analytic import (
     CyclePoint,
     MeanVar,
     ModelParams,
-    _a0_moment_coeffs,
     _psi_x_bessel,
     closed_mean_var,
     cond_atom,
@@ -48,10 +47,10 @@ from elastic_telegraph.analytic import (
     psi_x_integral,
     psi_x_series,
 )
-from elastic_telegraph.errors import ConvergenceError, DomainError
+from elastic_telegraph.errors import DomainError
 from elastic_telegraph.numeric import integrate, numeric_mgf, numeric_moment
 from elastic_telegraph.specfun import DEFAULT_CONTROL, SeriesControl
-from reference_routes import _pdf_a0_scalar_series, _psi_x_printed
+from reference_routes import _moment_a0_hsum, _pdf_a0_scalar_series, _psi_x_printed
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -452,6 +451,38 @@ def test_mgf_domain_bounds():
         mgf_tx(0.501, P)
 
 
+def test_mgf_domain_bound_a_is_pole_below_bound_c():
+    # for alpha < 1 - sqrt(mu/lam) the absorption MGF has a pole below
+    # bound_c, where the cycle MGF reaches 1 / (1 - alpha)
+    p = ModelParams(lam=2.0, mu=0.5, alpha=1e-4)
+    dom = mgf_domain(p)
+    assert dom.bound_a == pytest.approx(7.4997499749975e-05, rel=1e-12)
+    assert mgf_c0(dom.bound_a, p) == pytest.approx(1.0 / (1.0 - p.alpha), rel=1e-12)
+    assert mgf_a0(0.99 * dom.bound_a, p) > 1.0
+    assert mgf_domain(P).bound_a == mgf_domain(P).bound_c
+
+
+@pytest.mark.parametrize("f, x", [(mgf_a0, 0.0), (mgf_ax, 1.0)])
+def test_mgf_absorption_raises_past_pole(f, x):
+    # past the pole the closed form turns negative
+    with pytest.raises(DomainError):
+        f(0.01, ModelParams(lam=2.0, mu=0.5, alpha=1e-4, x=x))
+
+
+@pytest.mark.parametrize(
+    "f, p, bound",
+    [
+        (mgf_cx, ModelParams(lam=500.0, mu=1.0, x=15.0), lambda d: 0.5 * d.bound_c),
+        (mgf_ax, ModelParams(lam=500.0, mu=1.0, x=15.0), lambda d: 0.5 * d.bound_c),
+        (mgf_tx, ModelParams(lam=1e4, mu=1.0, x=200.0), lambda d: d.bound_t),
+    ],
+    ids=["mgf_cx", "mgf_ax", "mgf_tx"],
+)
+def test_mgf_height_factor_overflow_is_domain_error(f, p, bound):
+    with pytest.raises(DomainError):
+        f(bound(mgf_domain(p)), p)
+
+
 def test_mgfs_are_one_at_zero():
     for f in (mgf_c0, mgf_a0, mgf_cx, mgf_ax, mgf_tx):
         assert f(0.0, P) == pytest.approx(1.0, rel=1e-14)
@@ -553,8 +584,8 @@ def test_moments_match_quadrature():
 
 
 def test_moment_a0_degenerate_branch():
-    # alpha = 1 - mu/lam zeroes the closed form's leading denominator; the
-    # renewal recursion takes over and must give the analytic limits
+    # alpha = 1 - mu/lam zeroes the leading denominator of the closed h-sum;
+    # the moments there are the analytic limits
     p = with_(P, alpha=0.75)
     assert moment_a0(1, p) == pytest.approx(16.0 / 9.0, rel=1e-12)
     assert moment_a0(2, p) == pytest.approx(7.901234567901234568, rel=1e-12)
@@ -564,8 +595,8 @@ def test_moment_a0_degenerate_branch():
 
 
 def test_moment_a0_continuous_at_branch_edge():
-    # values just inside and outside the degenerate window differ only by
-    # the O(d alpha) sensitivity of the moment itself
+    # values near alpha = 1 - mu/lam, where the closed h-sum degenerates,
+    # differ only by the O(d alpha) sensitivity of the moment itself
     inside = moment_a0(2, with_(P, alpha=0.7501))
     outside = moment_a0(2, with_(P, alpha=0.7513))
     assert inside == pytest.approx(outside, rel=2e-2)
@@ -576,25 +607,52 @@ def test_moment_a0_continuous_at_branch_edge():
     [(0.3, 1e-11), (0.76, 1e-8), (0.9, 1e-11)],
 )
 def test_moment_a0_routes_agree(alpha, rtol):
-    # closed h-sum vs renewal recursion away from the degenerate window;
-    # just outside the window (alpha = 0.76) the h-sum cancels several
-    # digits, which is the reason the window exists at all
+    # renewal recursion vs the closed h-sum oracle; near alpha = 1 - mu/lam
+    # (alpha = 0.76) the h-sum cancels several digits
     p = with_(P, alpha=alpha)
-    coeffs = _a0_moment_coeffs(3, p, DEFAULT_CONTROL)
     for n in (1, 2, 3):
-        recursed = float(math.factorial(n) * coeffs[n])
-        assert moment_a0(n, p) == pytest.approx(recursed, rel=rtol)
+        assert moment_a0(n, p) == pytest.approx(_moment_a0_hsum(n, p, DEFAULT_CONTROL), rel=rtol)
 
 
 def test_moment_c0_budget_escalation_near_equal_rates():
-    # the Gauss-series argument approaches 1 as mu -> lam; the default
-    # budget must fail loudly rather than truncate
+    # the Gauss-2F1 oracle needs thousands of terms here and is still ~5e-11
+    # off; the Taylor recursion is exact at the default budget
     p = ModelParams(lam=2.0, mu=1.5, alpha=0.5, x=1.0)
-    with pytest.raises(ConvergenceError):
-        moment_c0(2, p)
-    big = SeriesControl(rel_tol=1e-12, max_terms=4000)
-    assert moment_c0(1, p, big) == pytest.approx(4.0, rel=1e-10)
-    assert moment_c0(2, p, big) == pytest.approx(128.0, rel=1e-10)
+    assert moment_c0(1, p) == pytest.approx(4.0, rel=1e-14)
+    assert moment_c0(2, p) == pytest.approx(128.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, alpha, x",
+    [(1.05, 1.0, 0.5, 0.0), (10.0, 1.0, 1e-3, 20.0), (1000.0, 1.0, 1.0, 1.0),
+     (1000.0, 1.0, 1e-3, 20.0), (2.0, 1.9999, 0.3, 5.0)],
+)
+def test_moments_match_closed_mean_var_at_extremes(lam, mu, alpha, x):
+    # rates near equal and far apart, alpha near 0 and large heights
+    p = ModelParams(lam=lam, mu=mu, alpha=alpha, x=x)
+    mv0 = closed_mean_var(with_(p, x=0.0))
+    mv = closed_mean_var(p)
+    for fn, mean, var in (
+        (moment_c0, mv0.e_cx, mv0.var_cx),
+        (moment_a0, mv0.e_ax, mv0.var_ax),
+        (moment_cx, mv.e_cx, mv.var_cx),
+        (moment_ax, mv.e_ax, mv.var_ax),
+    ):
+        assert fn(1, p) == pytest.approx(mean, rel=1e-12)
+        assert fn(2, p) == pytest.approx(var + mean * mean, rel=1e-12)
+
+
+def test_moment_a0_near_degenerate_alpha_frozen():
+    # mpmath value; just outside alpha = 1 - mu/lam, where the closed h-sum
+    # loses digits
+    assert moment_a0(4, ModelParams(2.0, 0.5, 0.7513, 1.0)) == pytest.approx(
+        689.6230430056784541558887, rel=1e-12
+    )
+
+
+def test_moment_overflowing_double_is_domain_error():
+    with pytest.raises(DomainError):
+        moment_c0(60, ModelParams(1.01, 1.0))
 
 
 def test_moment_order_validation():

@@ -231,7 +231,11 @@ def test_moments_rejects_bad_order(capsys):
 
 
 def test_moments_budget_exhaustion_is_exit_four(capsys):
-    code, _, err = run_cli(capsys, "moments", "--max-terms", "50")
+    # moments need no series budget; the conditional-law series still do
+    code, _, err = run_cli(
+        capsys, "eval", "cond-cdf", "--lambda", "2", "--mu", "0.5", "--t", "5", "--tau", "6",
+        "--grid", "1:4:3", "--max-terms", "3",
+    )
     assert code == 4
     assert "error:" in err
 
