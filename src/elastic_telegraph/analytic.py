@@ -19,16 +19,20 @@ covered here, all for a motion started upward at height ``x``:
 * MGFs and raw moments of all four lifetimes, plus closed mean/variance.
   Every raw moment is read off the Taylor coefficients of its MGF, which
   one exact recursion on the shared radical produces (``_mgf_taylor``).
-* ``joint_subdist`` / ``cond_atom`` / ``cond_cdf_within_cycle``: joint
-  law of the accumulated jumps and the first return, and the position law
-  at an intermediate time conditioned on the return time.
+* ``joint_subdist`` / ``cond_atom`` / ``cond_cdf_within_cycle`` /
+  ``cond_pdf_within_cycle``: joint law of the accumulated jumps and the
+  first return, and the position law at an intermediate time conditioned on
+  the return time.  One lane kernel (``_joint_lanes``) evaluates the joint
+  law for a whole array of points in one pass, so an x grid or a
+  Richardson stencil costs one call.
 
 Everywhere below, series accumulate in extended precision and Bessel
 factors are evaluated in exponentially scaled form, so no intermediate
 overflows for any argument a tail integration can produce.  The
 ``SeriesControl`` budget governs the truncated series of the conditional
-law; the scaled Bessel kernels, the Bessel-order mixtures built on them and
-the moment recursion run to machine precision.
+law, summed per lane by ``specfun._lane_series``; the scaled Bessel kernels,
+the Bessel-order mixtures built on them and the moment recursion run to
+machine precision.
 """
 
 from __future__ import annotations
@@ -46,13 +50,17 @@ from .specfun import (
     _EPS_LD,
     _LD,
     _bessel_i_scaled_sweep,
-    hyper_0f1,
-    hyper_1f2,
+    _lane_series,
+    _ratio_series,
 )
 
 # additive floor for tail checks on longdouble accumulators; built as a
 # power because the value underflows to 0 as a float literal
 _TAIL_FLOOR = _LD(10.0) ** -4300
+# the internal bracket-deficit series run to the extended unit roundoff
+_EPS_CONTROL = SeriesControl(rel_tol=float(_EPS_LD), max_terms=100000, consecutive_small=1)
+# Pascal's triangle C(n, k) in longdouble, grown on demand by _binomials
+_PASCAL = np.ones((1, 1), dtype=_LD)
 
 
 @dataclass(frozen=True)
@@ -140,21 +148,38 @@ def _ibar(n: int, z: np.ndarray) -> np.ndarray:
 def _bessel_order_sum(z: np.ndarray, c1, ratio, n_max: int) -> np.ndarray:
     """Per-lane sum over k = 1..n of c_k e^{-z} I_k(z), in longdouble.
 
-    ``c1`` is the order-1 coefficient and ``ratio(k)`` maps an array of
-    orders k to c_{k+1} / c_k.  The order count starts at ``n_max`` and
-    grows by 1.6x, at most three times, until the last term of every lane
-    sits below 1e-17 of its total.
+    ``c1`` is the order-1 coefficient and ``ratio(k)`` maps a column of
+    orders k to c_{k+1} / c_k, either one column for all lanes or one per
+    lane.  The order count starts at ``n_max`` and grows by 1.6x, at most
+    three times, until the last term of every lane sits below 1e-17 of its
+    total.  A total that is not finite (coefficients past the longdouble
+    range) raises ConvergenceError at once.
     """
-    for _ in range(4):
-        sweep = _bessel_i_scaled_sweep(n_max, z)
-        ratios = ratio(np.arange(1, n_max, dtype=_LD))
-        coef = c1 * np.cumprod(np.concatenate(([_LD(1.0)], ratios)))
-        total = coef @ sweep[1:]
-        last = coef[-1] * sweep[-1]
-        if np.all(last <= 1e-17 * total + _TAIL_FLOOR):
-            return total
-        n_max = int(1.6 * n_max) + 20
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            sweep = _bessel_i_scaled_sweep(n_max, z)
+            ratios = ratio(np.arange(1, n_max, dtype=_LD)[:, None])
+            coef = c1 * np.cumprod(np.concatenate((np.ones((1, ratios.shape[1]), _LD), ratios)), axis=0)
+            total = coef[:, 0] @ sweep[1:] if coef.shape[1] == 1 else np.einsum("kl,kl->l", coef, sweep[1:])
+            if not np.all(np.isfinite(total)):
+                raise ConvergenceError("Bessel-order sum", math.inf, n_max)
+            last = coef[-1] * sweep[-1]
+            if np.all(last <= 1e-17 * total + _TAIL_FLOOR):
+                return total
+            n_max = int(1.6 * n_max) + 20
     raise ConvergenceError("Bessel-order sum", float(np.max(last)), n_max)
+
+
+def _binomials(n: int) -> np.ndarray:
+    """Rows and columns 0..n-1 of the module-level Pascal table."""
+    global _PASCAL
+    if _PASCAL.shape[0] < n:
+        c = np.zeros((n, n), dtype=_LD)
+        c[:, 0] = 1.0
+        for i in range(1, n):
+            c[i, 1:] = c[i - 1, 1:] + c[i - 1, :-1]
+        _PASCAL = c
+    return _PASCAL[:n, :n]
 
 
 def geometric_pmf(m: int, p: ModelParams) -> float:
@@ -261,41 +286,18 @@ def psi0(t, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL):
     return _ret(vals, scalar)
 
 
-def _bracket_deficit(q: int, w, cache: dict) -> np.longdouble:
-    """Deficit of a terminating-like 1F2 bracket from 1, as a single-sign
-    series: -1 + 1F2(-1/2; (q+1)/2, (q+2)/2; w), computed via the
-    Pochhammer-duplication rearrangement.  Always in (-1, 0] for w >= 0.
-    """
-    got = cache.get(q)
-    if got is not None:
-        return got
-    if w == 0.0:
-        cache[q] = _LD(0.0)
-        return cache[q]
-    u = _LD(-2.0) * w / ((q + 1.0) * (q + 2.0))
-    acc = u
-    n = 1
-    while abs(u) > abs(acc) * _EPS_LD:
-        u = u * (n - 0.5) * 4.0 * w / ((n + 1.0) * (q + 2.0 * n + 1.0) * (q + 2.0 * n + 2.0))
-        acc = acc + u
-        n += 1
-        if n > 100000:
-            raise ConvergenceError("bracket deficit series", abs(float(u)), n)
-    cache[q] = acc
-    return acc
-
-
-def _psi_x_bessel(tarr: np.ndarray, x: float, lam: float, mu: float) -> np.ndarray:
+def _psi_x_bessel(tarr: np.ndarray, x, lam: float, mu: float) -> np.ndarray:
     """Bessel-mixture route: the first passage from level x is the boundary
     first passage plus a Poisson(mu*x) number of independent busy periods,
-    which collapses the double series to a single Bessel-order sum.
+    which collapses the double series to a single Bessel-order sum.  ``x``
+    is one level for all of ``tarr`` or one level per element.
     """
     tl = np.asarray(tarr, dtype=_LD)
     laml, mul = _LD(lam), _LD(mu)
     srho = np.sqrt(laml / mul)
-    mux = mul * _LD(x)
+    mux = mul * np.asarray(x, dtype=_LD)
     z = 2.0 * tl * np.sqrt(laml * mul)
-    m_guess = float(mux * srho)
+    m_guess = float(np.max(mux) * srho)
     n_max = int(m_guess + 10.0 * math.sqrt(m_guess + 4.0)) + 26
     # order k carries (mux)^(k-1)/(k-1)! * k * srho^k
     total = _bessel_order_sum(z, srho, lambda k: mux * srho * (k + 1.0) / (k * k), n_max)
@@ -614,114 +616,110 @@ def closed_mean_var(p: ModelParams) -> MeanVar:
 # ---------------------------------------------------------------------------
 
 
-def joint_subdist(
-    y: float, tau: float, t: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL
-) -> float:
+def _order_family(b: np.ndarray, z: np.ndarray, ctrl: SeriesControl, a=None, c=None) -> np.ndarray:
+    """(len(b), lanes) array of 1F2(a; b_m, c; z), or of 0F1(; b_m; z) when
+    ``a`` is None, for every lower parameter b_m and every lane of z, summed
+    as one lane series."""
+    bb = np.repeat(b, z.shape[0])
+    zz = np.tile(z, b.shape[0])
+
+    def ratio(k):
+        den = (bb + k) * (k + 1.0)
+        return zz / den if a is None else zz * (a + k) / (den * (c + k))
+    what = f"joint_subdist: {'0F1' if a is None else '1F2'} order family"
+    return _ratio_series(np.ones(bb.shape[0], dtype=_LD), ratio, ctrl, what).reshape(b.shape[0], -1)
+
+
+def _joint_lanes(y: np.ndarray, t: np.ndarray, tau: float, p: ModelParams, ctrl: SeriesControl) -> np.ndarray:
+    """F(y_i, tau; t_i) for 1-D arrays of lanes (y_i, t_i), in one pass.
+
+    The zero-jump part is one Bessel-order mixture over all lanes.  The
+    straddling-jump j-series and the bracket r-series are built as (terms x
+    lanes) arrays from the 1F2/0F1 order families and the bracket deficits
+    D(q), each kept as an order-indexed table that grows with the term cap,
+    and each lane is summed under the ``ctrl`` stopping rule.  The bracket
+    term r is sum_s C(r,s) (tau-t)^(r-s) (2r+1-s) D(2r-s) K[s], with
+    K[s] = sum_k C(s+1,k) (t-y)^(s+1-k) y^(k+1)/(k+1) 1F2(1; k+2, 2; lam mu t y)
+    formed once per s, so a cap of R terms costs O(R^2) per lane.
+    """
+    lam, mu = p.lam, p.mu
+    lm = _LD(lam) * _LD(mu)
+    yl, tl, taul = y.astype(_LD), t.astype(_LD), _LD(tau)
+    part1 = np.exp(-_LD(lam) * tl) * _psi_x_bessel(tau - t, t, lam, mu)
+    dt = taul - tl
+    w3 = lm * tl * yl  # 1F2 argument
+    tables: dict[str, np.ndarray] = {}
+
+    def rows(key: str, n: int, build) -> np.ndarray:  # rows 0..n-1 of a table; build(m) makes rows m
+        have = tables.get(key, np.empty((0, y.shape[0]), dtype=_LD))
+        if have.shape[0] < n:
+            have = tables[key] = np.concatenate((have, build(np.arange(have.shape[0], n, dtype=_LD))))
+        return have[:n]
+
+    def deficits(q: np.ndarray) -> np.ndarray:
+        # D(q) = -1 + 1F2(-1/2; (q+1)/2, (q+2)/2; w), w = lam mu (tau-t)^2, as a single-sign series
+        qq, ww = np.repeat(q, y.shape[0]), np.tile(lm * dt * dt, q.shape[0])
+        return _ratio_series(
+            -2.0 * ww / ((qq + 1.0) * (qq + 2.0)),
+            lambda k: (k + 0.5) * 4.0 * ww / ((k + 2.0) * (qq + 2.0 * k + 3.0) * (qq + 2.0 * k + 4.0)),
+            _EPS_CONTROL, "bracket deficit series",
+        ).reshape(q.shape[0], -1)
+
+    def f1(n: int) -> np.ndarray:  # 1F2(1; k+2, 2; w3), k < n
+        return rows("f1", n, lambda m: _order_family(m + 2.0, w3, ctrl, a=1.0, c=2.0))
+
+    def straddle(n: int) -> np.ndarray:
+        # third piece: paths with a jump straddling t, no boundary-level brackets
+        j = np.arange(n, dtype=_LD)[:, None]
+        pj = np.cumprod(np.concatenate((np.ones_like(dt)[None], lm * yl * dt / j[1:])), axis=0)
+        fact1 = np.cumprod(j + 1.0, axis=0)  # (j+1)!
+        f01 = rows("f01", n, lambda m: _order_family(m + 1.0, lm * dt * (taul - yl), ctrl))
+        f2 = rows("f2", n, lambda m: _order_family(m + 3.0, w3, ctrl, a=2.0, c=2.0))
+        return pj * f01 * (tl * f1(n) / fact1 - yl * f2 / (fact1 * (j + 2.0)))
+
+    def bracket(n: int) -> np.ndarray:
+        # fourth piece: boundary-level bracket corrections
+        deficit = rows("deficit", 2 * n - 1, deficits)
+        binom = _binomials(n + 1)
+        k = np.arange(n + 1)[:, None]
+        s = k[:n]  # as a column it also indexes r, as the row s.T it indexes s
+        # tmy**0 is 1 even at y == t, which is the intended limit
+        tpow = (tl - yl) ** k
+        yk = yl ** (k + 1.0) / (k + 1.0) * f1(n + 1)
+        ksum = np.einsum("sk,ski,ki->si", binom[1:], tpow[np.maximum(s + 1 - k.T, 0)], yk)
+        cs = binom[:n, :n] * (2.0 * s + 1.0 - s.T)  # C(r, s) (2r+1-s), zero where s > r
+        dpow, dgather = dt ** s, deficit[np.maximum(2 * s - s.T, 0)]
+        inner = np.einsum("rs,rsi,rsi,si->ri", cs, dpow[np.maximum(s - s.T, 0)], dgather, ksum)
+        qr = np.cumprod(np.concatenate((np.ones_like(dt)[None], lm * dt / (k[1:n] * (k[1:n] + 1.0)))), axis=0)
+        return qr * inner
+
+    t3 = _lane_series(straddle, ctrl, "joint_subdist: straddling-jump series", 1e-30, 16) * lm * yl
+    t4 = _lane_series(bracket, ctrl, "joint_subdist: bracket series", 1e-30, 16) * lm / 2.0
+    rest = _LD(lam) * np.exp(-(_LD(lam) + _LD(mu)) * taul) * (t3 + t4)
+    return np.asarray(part1 + rest, dtype=float)
+
+
+def joint_subdist(y, tau: float, t, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL):
     """Joint sub-distribution value F(y, tau; t): the density in the first
     return time tau of {accumulated jumps at t <= y}, for a boundary start.
 
-    Requires tau > t > 0 and 0 <= y <= t (given a return after t, the
-    accumulated-jump value at t cannot exceed t).  At y = 0 only the
-    zero-jump atom remains; at y = t the value equals psi0(tau).
+    ``y`` and ``t`` are scalars or arrays that broadcast together; all
+    points share one ``tau`` and are evaluated in one pass of the lane
+    kernel.  Requires tau > t > 0 and 0 <= y <= t (given a return after t,
+    the accumulated-jump value at t cannot exceed t).  At y = 0 only the
+    zero-jump atom remains; at y = t the value equals psi0(tau).  A scalar
+    pair returns a float.
     """
-    t = float(t)
     tau = float(tau)
-    y = float(y)
-    if not t > 0.0:
-        raise DomainError(f"joint_subdist: requires t > 0, got {t}")
-    if not tau > t:
+    ya, ta = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
+    if not np.all(ta > 0.0):
+        raise DomainError(f"joint_subdist: requires t > 0, got t={t}")
+    if not np.all(tau > ta):
         raise DomainError(f"joint_subdist: requires tau > t, got tau={tau}, t={t}")
-    if not 0.0 <= y <= t:
+    if not np.all((ya >= 0.0) & (ya <= ta)):
         raise DomainError(f"joint_subdist: requires 0 <= y <= t, got y={y}")
-    lam, mu = p.lam, p.mu
-    part1 = math.exp(-lam * t) * float(_psi_x_bessel(np.array([tau - t]), t, lam, mu)[0])
-    if y == 0.0:
-        return part1
-
-    lm = _LD(lam) * _LD(mu)
-    dt = _LD(tau - t)
-    w2 = lm * dt * dt  # bracket-series argument
-    w3 = float(lm * _LD(t) * _LD(y))  # 1F2 argument
-    f1_cache: dict[int, float] = {}  # 1F2(1; k+2, 2; w3)
-    f2_cache: dict[int, float] = {}  # 1F2(2; j+3, 2; w3)
-    e_cache: dict[int, np.longdouble] = {}
-
-    def f1(k: int) -> float:
-        got = f1_cache.get(k)
-        if got is None:
-            got = hyper_1f2(1.0, k + 2.0, 2.0, w3, ctrl)
-            f1_cache[k] = got
-        return got
-
-    # third piece: paths with a jump straddling t, no boundary-level brackets
-    t3 = _LD(0.0)
-    pj = _LD(1.0)  # (lam mu y (tau-t))^j / j!
-    factj1 = _LD(1.0)  # (j+1)!
-    arg01 = float(lm * dt * (_LD(tau) - _LD(y)))
-    small = 0
-    j = 0
-    while True:
-        factj1 = factj1 * (j + 1.0)
-        factj2 = factj1 * (j + 2.0)
-        f01 = hyper_0f1(j + 1.0, arg01, ctrl)
-        f2 = f2_cache.get(j)
-        if f2 is None:
-            f2 = hyper_1f2(2.0, j + 3.0, 2.0, w3, ctrl)
-            f2_cache[j] = f2
-        term = pj * _LD(f01) * (
-            _LD(t) * _LD(f1(j)) / factj1 - _LD(y) * _LD(f2) / factj2
-        )
-        t3 = t3 + term
-        if abs(term) <= _LD(ctrl.rel_tol) * max(abs(t3), _LD(1e-30)):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                break
-        else:
-            small = 0
-        j += 1
-        if j >= ctrl.max_terms:
-            raise ConvergenceError("joint_subdist: straddling-jump series", abs(float(term)), j)
-        pj = pj * lm * _LD(y) * dt / j
-    t3 = t3 * lm * _LD(y)
-
-    # fourth piece: boundary-level bracket corrections
-    t4 = _LD(0.0)
-    qr = _LD(1.0)  # (lam mu (tau-t))^r / (r! (r+1)!)
-    small = 0
-    r = 0
-    tmy = _LD(t) - _LD(y)
-    while True:
-        cs = dt**r  # C(r, s) (tau-t)^(r-s)
-        inner = _LD(0.0)
-        for s in range(r + 1):
-            ksum = _LD(0.0)
-            for k in range(s + 2):
-                # tmy**0 is 1 even at y == t, which is the intended limit
-                ksum = ksum + (
-                    _LD(math.comb(s + 1, k))
-                    * tmy ** (s + 1 - k)
-                    * _LD(y) ** (k + 1)
-                    / (k + 1.0)
-                    * _LD(f1(k))
-                )
-            inner = inner + cs * (2.0 * r + 1.0 - s) * _bracket_deficit(2 * r - s, w2, e_cache) * ksum
-            cs = cs * (r - s) / ((s + 1.0) * dt)
-        contrib = qr * inner
-        t4 = t4 + contrib
-        if abs(contrib) <= _LD(ctrl.rel_tol) * max(abs(t4), _LD(1e-30)):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                break
-        else:
-            small = 0
-        r += 1
-        if r >= ctrl.max_terms:
-            raise ConvergenceError("joint_subdist: bracket series", abs(float(contrib)), r)
-        qr = qr * lm * dt / (r * (r + 1.0))
-    t4 = t4 * lm / 2.0
-
-    rest = _LD(lam) * np.exp(_LD(-(lam + mu) * tau)) * (t3 + t4)
-    return part1 + float(rest)
+    vals = _joint_lanes(ya.ravel(), ta.ravel(), tau, p, ctrl).reshape(ya.shape)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def cond_atom(t: float, tau: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -736,49 +734,56 @@ def cond_atom(t: float, tau: float, p: ModelParams, ctrl: SeriesControl = DEFAUL
     den = float(psi0(tau, p, ctrl))
     if den <= 0.0:
         raise DomainError(f"cond_atom: conditioning density vanishes at tau={tau}")
-    psi_t = float(_psi_x_bessel(np.array([tau - t]), t, p.lam, p.mu)[0])
-    return math.exp(-p.lam * t) * psi_t / den
+    psi_t = _psi_x_bessel(np.array([tau - t]), t, p.lam, p.mu)[0]
+    return float(np.exp(-_LD(p.lam) * _LD(t)) * psi_t / den)
 
 
 def cond_cdf_within_cycle(
-    xval: float, t: float, tau: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL
-) -> float:
+    xval, t: float, tau: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL
+):
     """P(position at t <= xval | first return at tau), continuous part.
 
-    Requires tau > t > 0 and 0 <= xval <= t.  The value at xval = t is
-    1 minus the atom :func:`cond_atom`; the atom itself sits exactly at t.
+    Requires tau > t > 0 and 0 <= xval <= t.  ``xval`` is a scalar (the
+    result is a float) or an array, whose positive points go to one
+    :func:`joint_subdist` call; the conditioning density psi0(tau) is
+    evaluated once.  The value at xval = t is 1 minus the atom
+    :func:`cond_atom`; the atom itself sits exactly at t.
     """
-    xval = float(xval)
+    xa = np.asarray(xval, dtype=float)
     t = float(t)
     tau = float(tau)
     if not t > 0.0:
         raise DomainError(f"cond_cdf_within_cycle: requires t > 0, got {t}")
     if not tau > t:
         raise DomainError(f"cond_cdf_within_cycle: requires tau > t, got tau={tau}, t={t}")
-    if not 0.0 <= xval <= t:
+    if not np.all((xa >= 0.0) & (xa <= t)):
         raise DomainError(f"cond_cdf_within_cycle: requires 0 <= xval <= t, got {xval}")
-    if xval == 0.0:
-        return 0.0
-    den = float(psi0(tau, p, ctrl))
-    if den <= 0.0:
-        raise DomainError(f"cond_cdf_within_cycle: conditioning density vanishes at tau={tau}")
-    num = joint_subdist((t - xval) / 2.0, tau, (t + xval) / 2.0, p, ctrl)
-    return 1.0 - num / den
+    out = np.zeros(xa.shape)
+    pos = xa > 0.0
+    if np.any(pos):
+        den = float(psi0(tau, p, ctrl))
+        if den <= 0.0:
+            raise DomainError(f"cond_cdf_within_cycle: conditioning density vanishes at tau={tau}")
+        out[pos] = 1.0 - joint_subdist((t - xa[pos]) / 2.0, tau, (t + xa[pos]) / 2.0, p, ctrl) / den
+    return float(out) if out.ndim == 0 else out
 
 
 def cond_pdf_within_cycle(
-    xval: float,
+    xval,
     t: float,
     tau: float,
     p: ModelParams,
     ctrl: SeriesControl = DEFAULT_CONTROL,
     h: float | None = None,
-) -> float:
+):
     """Density of the continuous part of the conditional position law,
-    by Richardson differentiation of :func:`cond_cdf_within_cycle`."""
-    return cdf_derivative(
-        lambda v: cond_cdf_within_cycle(float(v), t, tau, p, ctrl), float(xval), h, lo=0.0, hi=t
-    )
+    by Richardson differentiation of :func:`cond_cdf_within_cycle`.
+
+    A scalar ``xval`` returns a float; an array is differentiated as one
+    stencil, so each of the four CDF evaluations is a single
+    :func:`joint_subdist` call over all points.
+    """
+    return cdf_derivative(lambda v: cond_cdf_within_cycle(v, t, tau, p, ctrl), xval, h, lo=0.0, hi=t)
 
 
 def cycle_point(

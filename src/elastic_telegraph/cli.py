@@ -145,11 +145,7 @@ def _preset_lines(name: str, ctrl: SeriesControl) -> list[str]:
         cols = []
         for mu in _PRESET_MUS:
             p = ModelParams(lam=2.0, mu=mu)
-            cols.append(
-                np.array(
-                    [analytic.cond_pdf_within_cycle(float(v), t, tau, p, ctrl) for v in xs]
-                )
-            )
+            cols.append(analytic.cond_pdf_within_cycle(xs, t, tau, p, ctrl))
         header = "x," + ",".join(
             f"cond_pdf lambda=2 t=5 tau=6 mu={mu:g}" for mu in _PRESET_MUS
         )
@@ -192,10 +188,10 @@ def cmd_eval(args) -> int:
         if grid.start < 0.0 or grid.stop > t:
             raise DomainError(f"eval {target}: grid must lie within [0, t={t:g}]")
         if target == "cond-cdf":
-            vals = [analytic.cond_cdf_within_cycle(float(v), t, tau, p, ctrl) for v in gv]
+            vals = analytic.cond_cdf_within_cycle(gv, t, tau, p, ctrl)
             label = "cond_cdf"
         else:
-            vals = [analytic.cond_pdf_within_cycle(float(v), t, tau, p, ctrl) for v in gv]
+            vals = analytic.cond_pdf_within_cycle(gv, t, tau, p, ctrl)
             label = "cond_pdf"
         header = f"x,{label} {_echo(p, False, False)} t={t:g} tau={tau:g}"
         lines = [header] + [",".join([_fmt(xv), _fmt(v)]) for xv, v in zip(gv, vals)]
@@ -511,10 +507,7 @@ def _verify_full(suite: _Suite) -> None:
         atom = analytic.cond_atom(t, tau, pc, ctrl)
 
         def dens_vec(xs):
-            xs = np.atleast_1d(np.asarray(xs, float))
-            return np.array(
-                [analytic.cond_pdf_within_cycle(float(v), t, tau, pc, ctrl) for v in xs]
-            )
+            return analytic.cond_pdf_within_cycle(xs, t, tau, pc, ctrl)
 
         mass = numeric.integrate(dens_vec, 0.0, t, 1e-6).value
         total = atom + mass
@@ -530,9 +523,7 @@ def _verify_full(suite: _Suite) -> None:
                                  delta=0.3, n_target=20_000)
     xs = np.linspace(0.1, 4.9, 25)
     emp = np.array([np.count_nonzero(ws.values <= xv) for xv in xs]) / ws.n_accepted
-    ana = np.array(
-        [analytic.cond_cdf_within_cycle(float(xv), 5.0, 6.0, pc, ctrl) for xv in xs]
-    )
+    ana = analytic.cond_cdf_within_cycle(xs, 5.0, 6.0, pc, ctrl)
     sup = float(np.max(np.abs(emp - ana)))
     suite.add(
         "conditional simulation matches analytic CDF",

@@ -223,29 +223,33 @@ def ks_statistic(samples, cdf: Callable) -> float:
 
 def cdf_derivative(
     cdf: Callable,
-    x: float,
+    x,
     h: float | None = None,
     lo: float | None = None,
     hi: float | None = None,
-) -> float:
+):
     """Density value from a CDF by Richardson-extrapolated central differences.
 
     ``h`` defaults to a scale-aware step and shrinks automatically so the
-    stencil stays inside (lo, hi) when bounds are given.
+    stencil stays inside (lo, hi) when bounds are given.  ``x`` is a scalar
+    (``cdf`` then gets scalars and the result is a float) or an array, in
+    which case ``cdf`` must accept arrays: it is called four times, once per
+    stencil offset, with all points at once.
     """
-    x = float(x)
+    x = np.asarray(x, dtype=float)
     if h is None:
-        h = 1e-3 * max(1.0, abs(x))
+        h = 1e-3 * np.maximum(1.0, np.abs(x))
     if lo is not None:
-        h = min(h, 0.45 * (x - lo))
+        h = np.minimum(h, 0.45 * (x - lo))
     if hi is not None:
-        h = min(h, 0.45 * (hi - x))
-    if not h > 0.0:
+        h = np.minimum(h, 0.45 * (hi - x))
+    if not np.all(h > 0.0):
         raise DomainError(f"cdf_derivative: x={x} leaves no room inside the bounds")
 
-    def diff(step: float) -> float:
-        return (float(cdf(x + step)) - float(cdf(x - step))) / (2.0 * step)
+    def diff(step):
+        return (np.asarray(cdf(x + step), float) - np.asarray(cdf(x - step), float)) / (2.0 * step)
 
     d1 = diff(h)
     d2 = diff(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    out = (4.0 * d2 - d1) / 3.0
+    return float(out) if np.ndim(out) == 0 else out

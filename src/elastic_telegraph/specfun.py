@@ -3,7 +3,9 @@
 Everything is evaluated by direct power series with term-ratio updates.
 Partial sums accumulate in extended precision (``numpy.longdouble``) and
 results come back as ordinary floats.  The public entry points take a
-:class:`SeriesControl` fixing the truncation budget and stopping rule.
+:class:`SeriesControl` fixing the truncation budget and stopping rule,
+which one array kernel, ``_lane_series``, applies to whole batches of series
+(one lane per series); the public functions are its one-lane case.
 Internal array kernels (exponentially scaled Bessel evaluation) run to
 machine precision instead; the distribution layer leans on them inside
 quadrature loops where per-point budgets would be noise.
@@ -34,9 +36,10 @@ class SeriesControl:
     """Truncation policy for the public series evaluators.
 
     A series stops once ``consecutive_small`` successive terms each have
-    magnitude at most ``rel_tol`` times the current partial sum.  Hitting
-    ``max_terms`` first raises :class:`ConvergenceError` carrying the last
-    term magnitude.
+    magnitude at most ``rel_tol`` times the current partial sum, or at a
+    term that is exactly zero.  Needing more than ``max_terms`` terms after
+    the first raises :class:`ConvergenceError` carrying the last term
+    magnitude.
     """
 
     rel_tol: float = 1e-12
@@ -57,30 +60,57 @@ class SeriesControl:
 DEFAULT_CONTROL = SeriesControl()
 
 
-def _sum_ratio_series(
-    first_term: float, ratio: Callable[[int], float], ctrl: SeriesControl, what: str
-) -> float:
-    """Sum ``t0 + t0*r(0) + t0*r(0)*r(1) + ...`` under the stopping rule.
+def _lane_series(terms: Callable[[int], np.ndarray], ctrl: SeriesControl, what: str,
+                 floor: float = 0.0, n: int = 32) -> np.ndarray:
+    """Sum a batch of series, one per lane, under the stopping rule.
 
-    ``ratio(k)`` returns ``term[k+1] / term[k]``.  A ratio of exactly zero
-    means the series terminates (all later terms vanish).
+    ``terms(n)`` returns the first n terms of every lane as an (n, lanes)
+    longdouble array.  A lane stops at an exactly zero term (a terminated
+    series) or at the last of ``consecutive_small`` successive terms each at
+    most ``rel_tol * max(|partial sum|, floor)``; its sum runs to that term.
+    The term count starts at ``n`` and doubles until every lane has stopped; a
+    lane still running after term ``max_terms``, or a sum that is not finite,
+    raises ConvergenceError.
     """
-    term = _LD(first_term)
-    total = term
-    small = 0
-    for k in range(int(ctrl.max_terms)):
-        r = ratio(k)
-        if r == 0.0:
-            return float(total)
-        term = term * _LD(r)
-        total = total + term
-        if abs(term) <= _LD(ctrl.rel_tol) * abs(total):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                return float(total)
-        else:
-            small = 0
-    raise ConvergenceError(what, abs(float(term)), int(ctrl.max_terms))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            n = min(n, int(ctrl.max_terms) + 1)
+            block = terms(n)
+            sums = np.cumsum(block, axis=0)
+            bound = np.maximum(np.abs(sums), _LD(floor))
+            bound *= _LD(ctrl.rel_tol)
+            small = np.abs(block) <= bound
+            idx = np.arange(n, dtype=np.int32)[:, None]
+            run = idx - np.maximum.accumulate(np.where(small, np.int32(-1), idx), axis=0)
+            hit = (run >= ctrl.consecutive_small) | (block == 0.0)
+            done = hit.any(axis=0)
+            if done.all():
+                out = sums[hit.argmax(axis=0), np.arange(block.shape[1])]
+                if not np.all(np.isfinite(out)):
+                    raise ConvergenceError(what, math.inf, n)
+                return out
+            if n > ctrl.max_terms:
+                raise ConvergenceError(what, abs(float(block[-1, np.argmin(done)])), int(ctrl.max_terms))
+            n *= 2
+
+
+def _ratio_series(first, ratio: Callable[[np.ndarray], np.ndarray], ctrl: SeriesControl,
+                  what: str) -> np.ndarray:
+    """Per-lane sums of ``t0 + t0*r(0) + t0*r(0)*r(1) + ...`` by :func:`_lane_series`.
+
+    ``first`` holds each lane's t0; ``ratio(k)`` maps a column of term
+    indices k to ``term[k+1] / term[k]`` for every lane.  A ratio of exactly
+    zero terminates its lane.
+    """
+    first = np.atleast_1d(np.asarray(first, dtype=_LD))
+
+    def terms(n: int) -> np.ndarray:
+        out = np.empty((n, first.shape[0]), dtype=_LD)
+        out[0] = first
+        out[1:] = ratio(np.arange(n - 1, dtype=_LD)[:, None])
+        return np.multiply.accumulate(out, axis=0, out=out)
+
+    return _lane_series(terms, ctrl, what)
 
 
 def _neg_int_index(v: float) -> int | None:
@@ -110,7 +140,7 @@ def bessel_i(n: int, z: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     else:
         t0 = np.exp(_LD(n * math.log(z / 2.0) - math.lgamma(n + 1.0)))
     q = _LD(z) * _LD(z) / 4.0
-    return _sum_ratio_series(t0, lambda k: q / ((k + 1) * (k + n + 1)), ctrl, "bessel_i")
+    return float(_ratio_series(t0, lambda k: q / ((k + 1) * (k + n + 1)), ctrl, "bessel_i")[0])
 
 
 def hyper_0f1(b: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -121,7 +151,7 @@ def hyper_0f1(b: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> floa
             f"hyper_0f1: Pochhammer factor (b)_k vanishes at term index k={kb + 1} for b={b}"
         )
     zl = _LD(z)
-    return _sum_ratio_series(1.0, lambda k: zl / ((b + k) * (k + 1)), ctrl, "hyper_0f1")
+    return float(_ratio_series(1.0, lambda k: zl / ((b + k) * (k + 1)), ctrl, "hyper_0f1")[0])
 
 
 def hyper_1f2(
@@ -141,9 +171,9 @@ def hyper_1f2(
                 f"k={kp + 1} for {name}={v}"
             )
     zl = _LD(z)
-    return _sum_ratio_series(
+    return float(_ratio_series(
         1.0, lambda k: zl * (a + k) / ((b + k) * (c + k) * (k + 1)), ctrl, "hyper_1f2"
-    )
+    )[0])
 
 
 def hyper_2f1(
@@ -164,9 +194,9 @@ def hyper_2f1(
             f"hyper_2f1: Pochhammer factor (c)_k vanishes at term index k={kc + 1} for c={c}"
         )
     zl = _LD(z)
-    return _sum_ratio_series(
+    return float(_ratio_series(
         1.0, lambda k: zl * (a + k) * (b + k) / ((c + k) * (k + 1)), ctrl, "hyper_2f1"
-    )
+    )[0])
 
 
 # ---------------------------------------------------------------------------

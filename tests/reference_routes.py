@@ -1,13 +1,15 @@
 """Test-only oracles: the paper's printed double series for the first-passage
 density from level x, the two direct double-series routes for the
-absorption-time density, and the closed Gauss-2F1 and h-sum forms of the
-cycle and absorption-time moments.
+absorption-time density, the closed Gauss-2F1 and h-sum forms of the
+cycle and absorption-time moments, and the scalar loop form of the joint
+within-cycle law.
 
-The package evaluates both densities through Bessel-order mixtures and all
-moments through one Taylor recursion on the MGFs.  These routes are
-independent rearrangements of the same closed forms, kept here so the tests
-can reconcile them with the production code.  Nothing under ``src/``
-imports this module.
+The package evaluates both densities through Bessel-order mixtures, all
+moments through one Taylor recursion on the MGFs, and the joint law through
+one array kernel over all evaluation points.  These routes are independent
+rearrangements of the same closed forms, kept here so the tests can
+reconcile them with the production code.  Nothing under ``src/`` imports
+this module.
 
 The printed psi_x series loses its digits to cancellation at larger heights
 (at (lam, mu, x, t) = (10, 1, 20, 3.95) it comes out 19% high), so the tests
@@ -18,9 +20,41 @@ import math
 
 import numpy as np
 
-from elastic_telegraph.analytic import ModelParams, _bracket_deficit, _ibar
-from elastic_telegraph.errors import ConvergenceError
-from elastic_telegraph.specfun import _EPS_LD, _LD, SeriesControl, hyper_1f2, hyper_2f1
+from elastic_telegraph.analytic import ModelParams, _ibar, _psi_x_bessel
+from elastic_telegraph.errors import ConvergenceError, DomainError
+from elastic_telegraph.specfun import (
+    _EPS_LD,
+    _LD,
+    DEFAULT_CONTROL,
+    SeriesControl,
+    hyper_0f1,
+    hyper_1f2,
+    hyper_2f1,
+)
+
+
+def _bracket_deficit(q: int, w, cache: dict) -> np.longdouble:
+    """Deficit of a terminating-like 1F2 bracket from 1, as a single-sign
+    series: -1 + 1F2(-1/2; (q+1)/2, (q+2)/2; w), computed via the
+    Pochhammer-duplication rearrangement.  Always in (-1, 0] for w >= 0.
+    """
+    got = cache.get(q)
+    if got is not None:
+        return got
+    if w == 0.0:
+        cache[q] = _LD(0.0)
+        return cache[q]
+    u = _LD(-2.0) * w / ((q + 1.0) * (q + 2.0))
+    acc = u
+    n = 1
+    while abs(u) > abs(acc) * _EPS_LD:
+        u = u * (n - 0.5) * 4.0 * w / ((n + 1.0) * (q + 2.0 * n + 1.0) * (q + 2.0 * n + 2.0))
+        acc = acc + u
+        n += 1
+        if n > 100000:
+            raise ConvergenceError("bracket deficit series", abs(float(u)), n)
+    cache[q] = acc
+    return acc
 
 
 def _psi_x_printed(t: float, x: float, lam: float, mu: float, ctrl: SeriesControl) -> float:
@@ -141,3 +175,113 @@ def _moment_a0_hsum(n: int, p: ModelParams, ctrl: SeriesControl) -> float:
         chat = _LD(_moment_c0_2f1(h, p, ctrl)) / _LD(math.factorial(h))
         total = total + d**h * e ** (n - h) * 2.0 * _LD(mu) * chat
     return float(2.0 * _LD(alpha) * _LD(lam) * _LD(math.factorial(n)) / d ** (n + 1) * total)
+
+
+def _joint_subdist_scalar(
+    y: float, tau: float, t: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL
+) -> float:
+    """Joint sub-distribution value F(y, tau; t): the density in the first
+    return time tau of {accumulated jumps at t <= y}, for a boundary start.
+
+    Requires tau > t > 0 and 0 <= y <= t (given a return after t, the
+    accumulated-jump value at t cannot exceed t).  At y = 0 only the
+    zero-jump atom remains; at y = t the value equals psi0(tau).
+    """
+    t = float(t)
+    tau = float(tau)
+    y = float(y)
+    if not t > 0.0:
+        raise DomainError(f"joint_subdist: requires t > 0, got {t}")
+    if not tau > t:
+        raise DomainError(f"joint_subdist: requires tau > t, got tau={tau}, t={t}")
+    if not 0.0 <= y <= t:
+        raise DomainError(f"joint_subdist: requires 0 <= y <= t, got y={y}")
+    lam, mu = p.lam, p.mu
+    part1 = math.exp(-lam * t) * float(_psi_x_bessel(np.array([tau - t]), t, lam, mu)[0])
+    if y == 0.0:
+        return part1
+
+    lm = _LD(lam) * _LD(mu)
+    dt = _LD(tau - t)
+    w2 = lm * dt * dt  # bracket-series argument
+    w3 = float(lm * _LD(t) * _LD(y))  # 1F2 argument
+    f1_cache: dict[int, float] = {}  # 1F2(1; k+2, 2; w3)
+    f2_cache: dict[int, float] = {}  # 1F2(2; j+3, 2; w3)
+    e_cache: dict[int, np.longdouble] = {}
+
+    def f1(k: int) -> float:
+        got = f1_cache.get(k)
+        if got is None:
+            got = hyper_1f2(1.0, k + 2.0, 2.0, w3, ctrl)
+            f1_cache[k] = got
+        return got
+
+    # third piece: paths with a jump straddling t, no boundary-level brackets
+    t3 = _LD(0.0)
+    pj = _LD(1.0)  # (lam mu y (tau-t))^j / j!
+    factj1 = _LD(1.0)  # (j+1)!
+    arg01 = float(lm * dt * (_LD(tau) - _LD(y)))
+    small = 0
+    j = 0
+    while True:
+        factj1 = factj1 * (j + 1.0)
+        factj2 = factj1 * (j + 2.0)
+        f01 = hyper_0f1(j + 1.0, arg01, ctrl)
+        f2 = f2_cache.get(j)
+        if f2 is None:
+            f2 = hyper_1f2(2.0, j + 3.0, 2.0, w3, ctrl)
+            f2_cache[j] = f2
+        term = pj * _LD(f01) * (
+            _LD(t) * _LD(f1(j)) / factj1 - _LD(y) * _LD(f2) / factj2
+        )
+        t3 = t3 + term
+        if abs(term) <= _LD(ctrl.rel_tol) * max(abs(t3), _LD(1e-30)):
+            small += 1
+            if small >= ctrl.consecutive_small:
+                break
+        else:
+            small = 0
+        j += 1
+        if j >= ctrl.max_terms:
+            raise ConvergenceError("joint_subdist: straddling-jump series", abs(float(term)), j)
+        pj = pj * lm * _LD(y) * dt / j
+    t3 = t3 * lm * _LD(y)
+
+    # fourth piece: boundary-level bracket corrections
+    t4 = _LD(0.0)
+    qr = _LD(1.0)  # (lam mu (tau-t))^r / (r! (r+1)!)
+    small = 0
+    r = 0
+    tmy = _LD(t) - _LD(y)
+    while True:
+        cs = dt**r  # C(r, s) (tau-t)^(r-s)
+        inner = _LD(0.0)
+        for s in range(r + 1):
+            ksum = _LD(0.0)
+            for k in range(s + 2):
+                # tmy**0 is 1 even at y == t, which is the intended limit
+                ksum = ksum + (
+                    _LD(math.comb(s + 1, k))
+                    * tmy ** (s + 1 - k)
+                    * _LD(y) ** (k + 1)
+                    / (k + 1.0)
+                    * _LD(f1(k))
+                )
+            inner = inner + cs * (2.0 * r + 1.0 - s) * _bracket_deficit(2 * r - s, w2, e_cache) * ksum
+            cs = cs * (r - s) / ((s + 1.0) * dt)
+        contrib = qr * inner
+        t4 = t4 + contrib
+        if abs(contrib) <= _LD(ctrl.rel_tol) * max(abs(t4), _LD(1e-30)):
+            small += 1
+            if small >= ctrl.consecutive_small:
+                break
+        else:
+            small = 0
+        r += 1
+        if r >= ctrl.max_terms:
+            raise ConvergenceError("joint_subdist: bracket series", abs(float(contrib)), r)
+        qr = qr * lm * dt / (r * (r + 1.0))
+    t4 = t4 * lm / 2.0
+
+    rest = _LD(lam) * np.exp(_LD(-(lam + mu) * tau)) * (t3 + t4)
+    return part1 + float(rest)

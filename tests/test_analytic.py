@@ -8,6 +8,7 @@ tolerances than any single frozen literal.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,10 +48,15 @@ from elastic_telegraph.analytic import (
     psi_x_integral,
     psi_x_series,
 )
-from elastic_telegraph.errors import DomainError
+from elastic_telegraph.errors import ConvergenceError, DomainError
 from elastic_telegraph.numeric import integrate, numeric_mgf, numeric_moment
 from elastic_telegraph.specfun import DEFAULT_CONTROL, SeriesControl
-from reference_routes import _moment_a0_hsum, _pdf_a0_scalar_series, _psi_x_printed
+from reference_routes import (
+    _joint_subdist_scalar,
+    _moment_a0_hsum,
+    _pdf_a0_scalar_series,
+    _psi_x_printed,
+)
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -396,6 +402,19 @@ def test_pdf_a0_methods_agree(alpha):
         base = pdf_a0(y, p)
         assert _pdf_a0_scalar_series(y, p, ctrl, combined=True) == pytest.approx(base, rel=1e-9)
         assert _pdf_a0_scalar_series(y, p, ctrl, combined=False) == pytest.approx(base, rel=1e-9)
+
+
+def test_pdf_a0_order_sum_overflow_is_convergence_error():
+    # at small alpha the order-m weight m sqrt(rho) ((1 - alpha) sqrt(rho))^(m-1)
+    # leaves the longdouble range long before the Bessel factors decay
+    p = ModelParams(10.0, 1.0, 1e-3)
+    for y in (2000.0, 3000.0):
+        with pytest.raises(ConvergenceError):
+            pdf_a0(y, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            pdf_a0(np.linspace(0.0, 1e4, 40), p)
 
 
 def test_pdf_a0_normalizes():
@@ -784,6 +803,72 @@ def test_cycle_point_bundles_componentwise():
     assert cp.cdf == cond_cdf_within_cycle(2.5, 5.0, 6.0, P)
     assert cp.pdf == cond_pdf_within_cycle(2.5, 5.0, 6.0, P)
     assert (cp.t, cp.tau, cp.xval) == (5.0, 6.0, 2.5)
+
+
+def test_joint_kernel_matches_scalar_oracle():
+    # 25 seeded sets from the ranges of the benchmark's conditional workload
+    # (lam/mu on [1.1, 20], mu on [0.1, 1.5], t on [1, 6], tau - t on
+    # [0.25, 3]), each at four CDF points in one array call: 100 lanes
+    rng = np.random.default_rng(4801)
+    for _ in range(25):
+        mu = math.exp(rng.uniform(math.log(0.1), math.log(1.5)))
+        lam = mu * math.exp(rng.uniform(math.log(1.1), math.log(20.0)))
+        t = rng.uniform(1.0, 6.0)
+        tau = t + rng.uniform(0.25, 3.0)
+        x = rng.uniform(0.02, 0.98, 4) * t
+        ys, ts = (t - x) / 2.0, (t + x) / 2.0
+        p = ModelParams(lam, mu)
+        want = [_joint_subdist_scalar(float(y), tau, float(s), p) for y, s in zip(ys, ts)]
+        np.testing.assert_allclose(joint_subdist(ys, tau, ts, p), want, rtol=1e-13, atol=0.0)
+
+
+def test_conditional_law_batch_equals_pointwise():
+    p = ModelParams(3.0, 0.7)
+    t, tau = 4.0, 5.5
+    # lanes with y = 0, y = t and interior points, at different t
+    ys = np.array([0.0, 1.3, 2.0, 3.9, 0.4, 4.0])
+    ts = np.array([2.0, 2.5, 2.0, 3.9, 4.5, 4.0])
+    got = joint_subdist(ys, tau, ts, p)
+    assert got.shape == ys.shape
+    want = [joint_subdist(float(y), tau, float(s), p) for y, s in zip(ys, ts)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    grid = joint_subdist(ys[:, None] / 4.0, tau, np.array([1.0, 4.0]), p)
+    assert grid.shape == (6, 2)
+
+    xs = np.array([0.0, 0.01, 1.7, 3.2, t])
+    got = cond_cdf_within_cycle(xs, t, tau, p)
+    want = [cond_cdf_within_cycle(float(v), t, tau, p) for v in xs]
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    xs = np.array([0.01, 1.7, 3.2, 3.99])
+    got = cond_pdf_within_cycle(xs, t, tau, p)
+    want = [cond_pdf_within_cycle(float(v), t, tau, p) for v in xs]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert isinstance(cond_pdf_within_cycle(1.7, t, tau, p), float)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    mu=st.floats(0.1, 1.5),
+    r1=st.floats(1.1, 20.0),
+    r2=st.floats(1.1, 20.0),
+    t=st.floats(1.0, 6.0),
+    gap=st.floats(0.25, 3.0),
+)
+def test_conditional_law_depends_on_rates_only_through_product(mu, r1, r2, t, gap):
+    # given the return time, (lam, mu) -> (lam c, mu / c) changes the path
+    # likelihood lam^k mu^(k-1) e^{-(lam+mu) tau} by a factor that depends
+    # on tau alone; c = sqrt(r2 / r1) moves the rate ratio from r1 to r2.
+    # The CDF is formed as 1 - F / psi0, so its error is absolute, a few
+    # units of roundoff of 1, where the CDF itself is small (near x = 0)
+    lam, c = r1 * mu, math.sqrt(r2 / r1)
+    tau = t + gap
+    xs = t * np.array([0.05, 0.25, 0.5, 0.75, 0.95, 1.0])
+    p, q = ModelParams(lam, mu), ModelParams(lam * c, mu / c)
+    assert cond_atom(t, tau, q) == pytest.approx(cond_atom(t, tau, p), rel=1e-11)
+    np.testing.assert_allclose(
+        cond_cdf_within_cycle(xs, t, tau, q), cond_cdf_within_cycle(xs, t, tau, p), rtol=1e-11, atol=1e-15
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,15 @@ def test_moments_budget_exhaustion_is_exit_four(capsys):
     assert "error:" in err
 
 
+def test_cond_pdf_budget_exhaustion_is_exit_four(capsys):
+    code, _, err = run_cli(
+        capsys, "eval", "cond-pdf", "--lambda", "2", "--mu", "0.5", "--t", "5", "--tau", "6",
+        "--grid", "1:4:3", "--max-terms", "3",
+    )
+    assert code == 4
+    assert "error:" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -164,6 +164,22 @@ def test_derivative_needs_room_inside_bounds():
         cdf_derivative(lambda x: x, 0.0, lo=0.0, hi=1.0)
 
 
+def test_derivative_of_array_is_one_call_per_stencil_offset():
+    calls = []
+
+    def cdf(x):
+        calls.append(np.shape(x))
+        return 1.0 - np.exp(-x)
+
+    xs = np.array([0.2, 1.0, 3.5])
+    got = cdf_derivative(cdf, xs, lo=0.0)
+    assert calls == [(3,)] * 4
+    want = [cdf_derivative(lambda v: 1.0 - math.exp(-v), float(v), lo=0.0) for v in xs]
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(DomainError):
+        cdf_derivative(cdf, np.array([0.5, 1.0]), lo=0.0, hi=1.0)
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
