@@ -722,20 +722,37 @@ def joint_subdist(y, tau: float, t, p: ModelParams, ctrl: SeriesControl = DEFAUL
     return float(vals) if vals.ndim == 0 else vals
 
 
+def _conditioning_density(t: float, tau: float, p: ModelParams, ctrl: SeriesControl, what: str) -> float:
+    """psi0(tau), the density that conditions the within-cycle law at time t,
+    after checking tau > t > 0; a vanishing value is a domain error."""
+    if not t > 0.0:
+        raise DomainError(f"{what}: requires t > 0, got {t}")
+    if not tau > t:
+        raise DomainError(f"{what}: requires tau > t, got tau={tau}, t={t}")
+    den = float(psi0(tau, p, ctrl))
+    if den <= 0.0:
+        raise DomainError(f"{what}: conditioning density vanishes at tau={tau}")
+    return den
+
+
 def cond_atom(t: float, tau: float, p: ModelParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """P(position at t equals t | first return at tau): the no-downward-jump
     atom of the conditional position law.  Requires tau > t > 0."""
-    t = float(t)
-    tau = float(tau)
-    if not t > 0.0:
-        raise DomainError(f"cond_atom: requires t > 0, got {t}")
-    if not tau > t:
-        raise DomainError(f"cond_atom: requires tau > t, got tau={tau}, t={t}")
-    den = float(psi0(tau, p, ctrl))
-    if den <= 0.0:
-        raise DomainError(f"cond_atom: conditioning density vanishes at tau={tau}")
+    t, tau = float(t), float(tau)
+    den = _conditioning_density(t, tau, p, ctrl, "cond_atom")
     psi_t = _psi_x_bessel(np.array([tau - t]), t, p.lam, p.mu)[0]
     return float(np.exp(-_LD(p.lam) * _LD(t)) * psi_t / den)
+
+
+def _cond_cdf(xval, t: float, tau: float, den: float | None, p: ModelParams, ctrl: SeriesControl):
+    """:func:`cond_cdf_within_cycle` at points already inside [0, t], given
+    its conditioning density ``den`` = psi0(tau) (None if no point is > 0)."""
+    xa = np.asarray(xval, dtype=float)
+    out = np.zeros(xa.shape)
+    pos = xa > 0.0
+    if np.any(pos):
+        out[pos] = 1.0 - joint_subdist((t - xa[pos]) / 2.0, tau, (t + xa[pos]) / 2.0, p, ctrl) / den
+    return float(out) if out.ndim == 0 else out
 
 
 def cond_cdf_within_cycle(
@@ -750,22 +767,16 @@ def cond_cdf_within_cycle(
     :func:`cond_atom`; the atom itself sits exactly at t.
     """
     xa = np.asarray(xval, dtype=float)
-    t = float(t)
-    tau = float(tau)
+    t, tau = float(t), float(tau)
     if not t > 0.0:
         raise DomainError(f"cond_cdf_within_cycle: requires t > 0, got {t}")
     if not tau > t:
         raise DomainError(f"cond_cdf_within_cycle: requires tau > t, got tau={tau}, t={t}")
     if not np.all((xa >= 0.0) & (xa <= t)):
         raise DomainError(f"cond_cdf_within_cycle: requires 0 <= xval <= t, got {xval}")
-    out = np.zeros(xa.shape)
-    pos = xa > 0.0
-    if np.any(pos):
-        den = float(psi0(tau, p, ctrl))
-        if den <= 0.0:
-            raise DomainError(f"cond_cdf_within_cycle: conditioning density vanishes at tau={tau}")
-        out[pos] = 1.0 - joint_subdist((t - xa[pos]) / 2.0, tau, (t + xa[pos]) / 2.0, p, ctrl) / den
-    return float(out) if out.ndim == 0 else out
+    # the value at the origin is 0 without any conditioning density
+    den = _conditioning_density(t, tau, p, ctrl, "cond_cdf_within_cycle") if np.any(xa > 0.0) else None
+    return _cond_cdf(xa, t, tau, den, p, ctrl)
 
 
 def cond_pdf_within_cycle(
@@ -781,9 +792,11 @@ def cond_pdf_within_cycle(
 
     A scalar ``xval`` returns a float; an array is differentiated as one
     stencil, so each of the four CDF evaluations is a single
-    :func:`joint_subdist` call over all points.
+    :func:`joint_subdist` call over all points; psi0(tau) is evaluated once.
     """
-    return cdf_derivative(lambda v: cond_cdf_within_cycle(v, t, tau, p, ctrl), xval, h, lo=0.0, hi=t)
+    t, tau = float(t), float(tau)
+    den = _conditioning_density(t, tau, p, ctrl, "cond_pdf_within_cycle")
+    return cdf_derivative(lambda v: _cond_cdf(v, t, tau, den, p, ctrl), xval, h, lo=0.0, hi=t)
 
 
 def cycle_point(

@@ -1,14 +1,17 @@
 """Special-function series used by the closed-form distribution formulas.
 
-Everything is evaluated by direct power series with term-ratio updates.
+The public functions are direct power series with term-ratio updates.
 Partial sums accumulate in extended precision (``numpy.longdouble``) and
 results come back as ordinary floats.  The public entry points take a
 :class:`SeriesControl` fixing the truncation budget and stopping rule,
 which one array kernel, ``_lane_series``, applies to whole batches of series
 (one lane per series); the public functions are its one-lane case.
-Internal array kernels (exponentially scaled Bessel evaluation) run to
-machine precision instead; the distribution layer leans on them inside
-quadrature loops where per-point budgets would be noise.
+The internal kernel for exponentially scaled Bessel values of every order,
+``_bessel_i_scaled_sweep``, is Miller's backward recurrence run on the
+ratios I_m / I_{m-1}, which lie in (0, 1); it runs to machine precision
+instead, with no rescaling, in extended or plain double precision alike.
+The distribution layer leans on it inside quadrature loops where per-point
+budgets would be noise.
 
 Series forms follow the standard hypergeometric conventions (DLMF ch. 15
 and 16); a Pochhammer factor hitting zero in a denominator is reported as
@@ -200,58 +203,31 @@ def hyper_2f1(
 
 
 # ---------------------------------------------------------------------------
-# Internal array kernels.  These evaluate exponentially scaled Bessel values
-# e^{-z} I_m(z) elementwise over longdouble arrays, to machine precision,
+# Internal array kernel: exponentially scaled Bessel values e^{-z} I_m(z)
+# of every order up to m_max over longdouble arrays, to machine precision,
 # with no overflow for any argument the distribution layer can produce.
 # ---------------------------------------------------------------------------
 
 # below this the scaled value of any positive order is < 1e-30; treat as 0
 _Z_TINY = 1e-30
-# built as longdouble powers: the values sit far outside double range and
-# would collapse to inf/0 as float literals
-_SWEEP_OVERFLOW = _LD(10.0) ** 4200
-_SWEEP_RESCALE = _LD(10.0) ** -4800
-_SWEEP_SEED = _LD(10.0) ** -2400
-
-
-def _bessel_i_scaled(n: int, z) -> np.ndarray:
-    """e^{-z} I_n(z) for z >= 0, elementwise; returns a longdouble array.
-
-    Ascending series with the prefactor folded into the first term, so the
-    largest intermediate is O(1) for any z.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=_LD))
-    out = np.zeros_like(z)
-    pos = z > _Z_TINY
-    if np.any(pos):
-        zp = z[pos]
-        with np.errstate(divide="ignore"):
-            logt0 = -zp + n * np.log(zp / 2.0) - _LD(math.lgamma(n + 1.0))
-        term = np.exp(logt0)
-        total = term.copy()
-        q = zp * zp / 4.0
-        k = 0
-        while True:
-            term = term * q / ((k + 1.0) * (k + n + 1.0))
-            total += term
-            k += 1
-            if np.all(term <= total * _EPS_LD):
-                break
-            if k > 200000:  # unreachable for sane z; guards infinite loops
-                raise ConvergenceError("bessel_i_scaled", float(np.max(term)), k)
-        out[pos] = total
-    if n == 0:
-        out[~pos] = 1.0
-    return out
+# a sweep block holds at least _SWEEP_BLOCK orders, and about _SWEEP_VALUES
+# values for narrow batches: few calls per order, and a reused buffer that
+# stays small next to the (m_max+1 x lanes) result
+_SWEEP_BLOCK = 16
+_SWEEP_VALUES = 4096
 
 
 def _bessel_i_scaled_sweep(m_max: int, z) -> np.ndarray:
     """All of e^{-z} I_m(z) for m = 0..m_max, shape (m_max+1, len(z)).
 
-    Downward three-term recurrence started above the requested window
-    (Miller's algorithm), normalized with e^{-z}(I_0 + 2 sum I_m) = 1.
-    Lanes are rescaled on the fly when the unnormalized iterates grow
-    toward the longdouble range limit.
+    Miller's backward recurrence in ratio form (Gautschi, SIAM Review 9,
+    1967): r_m = I_m / I_{m-1} = 1 / (2m/z + r_{m+1}), started at
+    r_{mtop+1} = 0 above the requested window.  Every iterate lies in
+    (0, 1), so no lane can overflow whatever the precision of ``_LD``, and
+    each order costs two in-place array operations.  Orders run in blocks;
+    each block is folded into the tail sum s = sum_{m>=1} r_1 ... r_m, and
+    e^{-z}(I_0 + 2 sum I_m) = 1 gives e^{-z} I_0 = 1 / (1 + 2s).  Rows
+    1..m_max are the running products of the ratios times that value.
     """
     z = np.atleast_1d(np.asarray(z, dtype=_LD))
     out = np.zeros((m_max + 1, z.shape[0]), dtype=_LD)
@@ -261,29 +237,38 @@ def _bessel_i_scaled_sweep(m_max: int, z) -> np.ndarray:
         return out
     zp = z[pos]
     npos = zp.shape[0]
-    zmax = float(np.max(zp))
-    # start high enough that both the seed contamination and the truncated
-    # upper tail of the normalization sum sit below 1e-18 relative: orders
-    # above sqrt(90 z) carry weight < e^{-45} of the total at any z
-    mtop = max(int(math.sqrt(m_max * m_max + 90.0 * zmax)) + 12, m_max + 10)
-    buf = np.zeros((m_max + 1, npos), dtype=_LD)
-    up1 = np.zeros(npos, dtype=_LD)  # iterate at order m+1
-    u = np.full(npos, _SWEEP_SEED)  # iterate at order m
-    ssum = 2.0 * u  # running u_0 + 2*sum_{m>=1} u_m for the normalization
-    for m in range(mtop, 0, -1):
-        um1 = up1 + (2.0 * m) * u / zp
-        if m - 1 <= m_max:
-            buf[m - 1, :] = um1
-        ssum = ssum + (2.0 * um1 if m > 1 else um1)
-        big = um1 > _SWEEP_OVERFLOW
-        if np.any(big):
-            um1[big] *= _SWEEP_RESCALE
-            u[big] *= _SWEEP_RESCALE
-            ssum[big] *= _SWEEP_RESCALE
-            if m - 1 <= m_max:
-                buf[m - 1 :, big] *= _SWEEP_RESCALE
-        up1 = u
-        u = um1
-    buf /= ssum[None, :]
-    out[:, pos] = buf
+    # start high enough that both the start-value contamination and the
+    # truncated upper tail of the normalization sum sit below 1e-18
+    # relative: orders above sqrt(90 z) carry weight < e^{-45} of the total
+    mtop = max(int(math.sqrt(m_max * m_max + 90.0 * float(np.max(zp)))) + 12, m_max + 10)
+    win = out if npos == z.shape[0] else np.empty((m_max + 1, npos), dtype=_LD)
+    two_over_z = 2.0 / zp
+    block = min(mtop, max(_SWEEP_BLOCK, _SWEEP_VALUES // npos))
+    # rows 0..block-1 hold the orders lo, lo+1, ...; row `block` carries
+    # the ratio just above them (zero above mtop)
+    buf = np.zeros((block + 1, npos), dtype=_LD)
+    rows = list(buf)
+    orders = np.arange(block, dtype=_LD)[:, None]
+    s = np.zeros(npos, dtype=_LD)
+    n = (mtop - 1) % block + 1  # the top block may be short
+    for lo in range(mtop - n + 1, 0, -block):
+        blk = buf[:n]
+        np.multiply(orders[:n] + lo, two_over_z, out=blk)
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            row += rows[i + 1]
+            np.reciprocal(row, out=row)
+        k = min(n, m_max + 1 - lo)
+        if k > 0:
+            win[lo : lo + k] = buf[:k]
+        np.copyto(rows[block], rows[0])
+        np.cumprod(blk, axis=0, out=blk)
+        s *= blk[-1]
+        s += blk.sum(axis=0)
+        n = block
+    win[0] = 1.0 / (1.0 + 2.0 * s)
+    np.cumprod(win[1:], axis=0, out=win[1:])
+    win[1:] *= win[0]
+    if win is not out:
+        out[:, pos] = win
     return out

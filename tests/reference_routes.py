@@ -1,15 +1,16 @@
-"""Test-only oracles: the paper's printed double series for the first-passage
-density from level x, the two direct double-series routes for the
-absorption-time density, the closed Gauss-2F1 and h-sum forms of the
-cycle and absorption-time moments, and the scalar loop form of the joint
-within-cycle law.
+"""Test-only oracles: the ascending-series kernel for the scaled Bessel
+values, the paper's printed double series for the first-passage density from
+level x, the two direct double-series routes for the absorption-time
+density, the closed Gauss-2F1 and h-sum forms of the cycle and
+absorption-time moments, and the scalar loop form of the joint within-cycle
+law.
 
-The package evaluates both densities through Bessel-order mixtures, all
-moments through one Taylor recursion on the MGFs, and the joint law through
-one array kernel over all evaluation points.  These routes are independent
-rearrangements of the same closed forms, kept here so the tests can
-reconcile them with the production code.  Nothing under ``src/`` imports
-this module.
+The package evaluates the scaled Bessel values by one backward ratio sweep,
+both densities through Bessel-order mixtures, all moments through one Taylor
+recursion on the MGFs, and the joint law through one array kernel over all
+evaluation points.  These routes are independent rearrangements of the same
+closed forms, kept here so the tests can reconcile them with the production
+code.  Nothing under ``src/`` imports this module.
 
 The printed psi_x series loses its digits to cancellation at larger heights
 (at (lam, mu, x, t) = (10, 1, 20, 3.95) it comes out 19% high), so the tests
@@ -25,12 +26,44 @@ from elastic_telegraph.errors import ConvergenceError, DomainError
 from elastic_telegraph.specfun import (
     _EPS_LD,
     _LD,
+    _Z_TINY,
     DEFAULT_CONTROL,
     SeriesControl,
     hyper_0f1,
     hyper_1f2,
     hyper_2f1,
 )
+
+
+def _bessel_i_scaled(n: int, z) -> np.ndarray:
+    """e^{-z} I_n(z) for z >= 0, elementwise; returns a longdouble array.
+
+    Ascending series with the prefactor folded into the first term, so the
+    largest intermediate is O(1) for any z.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=_LD))
+    out = np.zeros_like(z)
+    pos = z > _Z_TINY
+    if np.any(pos):
+        zp = z[pos]
+        with np.errstate(divide="ignore"):
+            logt0 = -zp + n * np.log(zp / 2.0) - _LD(math.lgamma(n + 1.0))
+        term = np.exp(logt0)
+        total = term.copy()
+        q = zp * zp / 4.0
+        k = 0
+        while True:
+            term = term * q / ((k + 1.0) * (k + n + 1.0))
+            total += term
+            k += 1
+            if np.all(term <= total * _EPS_LD):
+                break
+            if k > 200000:  # unreachable for sane z; guards infinite loops
+                raise ConvergenceError("bessel_i_scaled", float(np.max(term)), k)
+        out[pos] = total
+    if n == 0:
+        out[~pos] = 1.0
+    return out
 
 
 def _bracket_deficit(q: int, w, cache: dict) -> np.longdouble:

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_routes import _bessel_i_scaled
 
+from elastic_telegraph import analytic, specfun
+from elastic_telegraph.analytic import ModelParams, psi0
 from elastic_telegraph.errors import ConvergenceError, DomainError
 from elastic_telegraph.specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
-    _bessel_i_scaled,
     _bessel_i_scaled_sweep,
     bessel_i,
     hyper_0f1,
@@ -129,8 +131,8 @@ def test_scaled_series_vs_public():
 
 
 def test_sweep_vs_series_kernel_mixed_batch():
-    # one call mixing tiny, moderate and huge arguments exercises the
-    # per-lane rescaling of the downward recurrence
+    # one call mixing tiny, moderate and huge arguments: each lane's
+    # recurrence and normalization must not depend on the other lanes
     z = np.array([1e-6, 0.07, 1.0, 33.0, 700.0, 6000.0], dtype=np.longdouble)
     sweep = _bessel_i_scaled_sweep(8, z)
     for n in range(9):
@@ -139,6 +141,67 @@ def test_sweep_vs_series_kernel_mixed_batch():
         got = np.asarray(sweep[n], float)[ok]
         want = np.asarray(direct, float)[ok]
         np.testing.assert_allclose(got, want, rtol=5e-15)
+
+
+SWEEP_Z = (0.0, 1e-6, 0.07, 1.0, 33.0, 700.0, 6000.0, 2e4)
+SWEEP_TOP = 600
+
+
+@pytest.fixture(scope="module")
+def mp_scaled_table():
+    """e^{-z} I_m(z) for m = 0..SWEEP_TOP at each of SWEEP_Z, as floats.
+
+    Direct mpmath values at the two top orders, carried down by the
+    three-term recurrence in 50-digit arithmetic; the downward direction is
+    stable for I_m, and evaluating every order directly costs seconds at
+    z = 6000.
+    """
+    mpmath.mp.dps = 50
+    table = np.zeros((SWEEP_TOP + 1, len(SWEEP_Z)))
+    table[0, 0] = 1.0
+    for j, z in enumerate(SWEEP_Z[1:], start=1):
+        zm = mpmath.mpf(z)
+        scale = mpmath.exp(-zm)
+        up, u = mpmath.besseli(SWEEP_TOP + 1, zm), mpmath.besseli(SWEEP_TOP, zm)
+        table[SWEEP_TOP, j] = float(u * scale)
+        for m in range(SWEEP_TOP, 0, -1):
+            up, u = u, up + 2 * m / zm * u
+            table[m - 1, j] = float(u * scale)
+    return table
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 15, 16, 17, 130, 600])
+@pytest.mark.parametrize("copies", [1, 40])
+def test_sweep_vs_mpmath_across_block_edges(m_max, copies, mp_scaled_table):
+    # a batch of 320 lanes runs in blocks of 16 orders, so m_max = 15, 16
+    # and 17 put the window's top order on either side of a block edge; the
+    # 8-lane batch runs in blocks of hundreds of orders
+    z = np.tile(np.array(SWEEP_Z, dtype=np.longdouble), copies)
+    got = np.asarray(_bessel_i_scaled_sweep(m_max, z), float)
+    assert got.shape == (m_max + 1, z.shape[0])
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    want = np.tile(mp_scaled_table[: m_max + 1], copies)
+    ok = want > 1e-280
+    np.testing.assert_allclose(got[ok], want[ok], rtol=5e-15)
+
+
+def test_sweep_and_psi0_finite_with_double_accumulator(monkeypatch, mp_scaled_table):
+    # where numpy.longdouble is plain double, the scaled values and psi0
+    # must stay finite and accurate
+    t = [0.5, 3.0, 40.0, 400.0]
+    p = ModelParams(2.0, 0.5)
+    extended = psi0(t, p)
+    monkeypatch.setattr(specfun, "_LD", np.float64)
+    monkeypatch.setattr(analytic, "_LD", np.float64)
+    got = _bessel_i_scaled_sweep(400, np.array(SWEEP_Z))
+    assert got.dtype == np.float64
+    assert np.all(np.isfinite(got))
+    want = mp_scaled_table[:401]
+    ok = want > 1e-280
+    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-13)
+    double = psi0(t, p)
+    assert np.all(np.isfinite(double))
+    np.testing.assert_allclose(double, extended, rtol=1e-12)
 
 
 def test_sweep_row_zero_at_z_zero():
