@@ -12,7 +12,11 @@ Two engines share the distributional conventions: a scalar path engine
 that can also record a full :class:`PathTrace`, and a vectorized batch
 engine behind :func:`sample_many` and :func:`sample_within_cycle`.  The
 two consume generator output in different orders, so they are each
-reproducible but not draw-for-draw identical to one another.
+reproducible but not draw-for-draw identical to one another.  The scalar
+engine reads uniforms 1024 at a time, the same values as one call each.  Per
+wave, the batch engine draws up durations, down durations and coins for
+every live path; the within-cycle sampler draws up and down durations under
+tilted rates, then one thinning uniform per cycle returned in its window.
 """
 
 from __future__ import annotations
@@ -132,7 +136,8 @@ class WithinCycleSample:
 
     ``values`` holds the continuous part (position strictly below t);
     ``atom_count`` counts draws that never jumped downward by t, whose
-    position is exactly t.
+    position is exactly t.  ``sim_rates`` is the pair the cycles ran under,
+    ``thinning_acceptance`` the fraction of in-window cycles thinning kept.
     """
 
     t: float
@@ -142,16 +147,26 @@ class WithinCycleSample:
     atom_count: int
     n_accepted: int
     n_cycles: int
+    sim_rates: tuple[float, float]
+    thinning_acceptance: float
 
 
-def _draw_exp(gen: np.random.Generator, rate: float, size=None):
-    # inverse transform; U in [0,1) makes log1p(-U) safe
-    if size is None:
-        return -math.log1p(-gen.random()) / rate
-    return -np.log1p(-gen.random(size)) / rate
+def _exp_draws(gen: np.random.Generator, rate: float, n: int) -> np.ndarray:
+    """n durations -log1p(-U)/rate, formed in place; U in [0, 1) keeps log1p(-U) finite."""
+    e = gen.random(n)
+    np.log1p(np.negative(e, out=e), out=e)
+    e /= -rate  # the same bits as -(log1p(-U)) / rate: division rounds symmetrically in sign
+    return e
 
 
-def _simulate_one(gen: np.random.Generator, p: ModelParams, keep_trace: bool):
+def _uniforms(gen: np.random.Generator):
+    """The generator's uniform stream, read 1024 values per call."""
+    while True:
+        yield from gen.random(1024).tolist()
+
+
+def _simulate_one(draw, p: ModelParams, keep_trace: bool):
+    """One path to absorption; ``draw()`` returns the next uniform."""
     lam, mu, alpha = p.lam, p.mu, p.alpha
     pos = float(p.x)
     tnow = 0.0
@@ -161,15 +176,14 @@ def _simulate_one(gen: np.random.Generator, p: ModelParams, keep_trace: bool):
     phases: list[str] = []
     bevents: list[tuple[float, str]] = []
     while True:
-        u = _draw_exp(gen, lam)
+        u = -math.log1p(-draw()) / lam
         pos += u
         tnow += u
-        events += 1
         if keep_trace:
             verts.append((tnow, pos))
             phases.append("up")
-        d = _draw_exp(gen, mu)
-        events += 1
+        d = -math.log1p(-draw()) / mu
+        events += 2
         if d >= pos:
             tnow += pos
             pos = 0.0
@@ -177,7 +191,7 @@ def _simulate_one(gen: np.random.Generator, p: ModelParams, keep_trace: bool):
                 verts.append((tnow, 0.0))
                 phases.append("truncated-down")
             visits.append(tnow)
-            absorbed = gen.random() < alpha
+            absorbed = draw() < alpha
             if keep_trace:
                 bevents.append((tnow, "absorbed" if absorbed else "reflected"))
             if absorbed:
@@ -210,47 +224,44 @@ def simulate_absorption(p: ModelParams, rng: RngSpec, keep_trace: bool = False):
     ``keep_trace`` is set.  Draw order per iteration: up duration, down
     duration, then one absorption uniform at each boundary visit.
     """
-    gen = rng.generator()
-    return _simulate_one(gen, p, keep_trace)
+    return _simulate_one(_uniforms(rng.generator()).__next__, p, keep_trace)
 
 
 def _run_batch(gen: np.random.Generator, p: ModelParams, k: int):
     """Vectorized wave simulation of k independent paths to absorption."""
     lam, mu, alpha = p.lam, p.mu, p.alpha
-    pos = np.full(k, float(p.x))
-    tnow = np.zeros(k)
-    c_first = np.full(k, np.nan)
-    mcount = np.zeros(k, dtype=np.int64)
-    idx = np.arange(k)
+    # (position, time, first visit) and (visit count, path index): one gather each drops absorbed paths
+    state = np.array([[float(p.x)], [0.0], [np.nan]]).repeat(k, axis=1)
+    counts = np.stack((np.zeros(k, dtype=np.int64), np.arange(k)))
     res_c = np.empty(k)
     res_m = np.empty(k, dtype=np.int64)
     res_a = np.empty(k)
     iters = 0
-    while pos.size:
-        sz = pos.size
-        u = _draw_exp(gen, lam, sz)
+    while state.shape[1]:
+        pos, tnow, c_first = state
+        mcount, idx = counts
+        sz = state.shape[1]
+        u = _exp_draws(gen, lam, sz)
         pos += u
         tnow += u
-        d = _draw_exp(gen, mu, sz)
+        d = _exp_draws(gen, mu, sz)
         coin = gen.random(sz) < alpha
         hit = d >= pos
-        tnow += np.where(hit, pos, d)
-        pos = np.where(hit, 0.0, pos - d)
+        np.minimum(d, pos, out=d)  # a truncated down phase ends at the origin
+        tnow += d
+        pos -= d
         if hit.any():
             first = hit & np.isnan(c_first)
             c_first[first] = tnow[first]
-            mcount[hit] += 1
+            mcount += hit
             absorbed = hit & coin
             if absorbed.any():
                 res_c[idx[absorbed]] = c_first[absorbed]
                 res_m[idx[absorbed]] = mcount[absorbed]
                 res_a[idx[absorbed]] = tnow[absorbed]
-                keep = ~absorbed
-                pos = pos[keep]
-                tnow = tnow[keep]
-                c_first = c_first[keep]
-                mcount = mcount[keep]
-                idx = idx[keep]
+                keep = np.flatnonzero(~absorbed)
+                state = state.take(keep, axis=1)
+                counts = counts.take(keep, axis=1)
         iters += 1
         if iters > _EVENT_CAP // 2:
             raise RunawayError("sample_many: batch exceeded the event cap without absorbing")
@@ -286,7 +297,8 @@ def sample_many(
         raise DomainError(f"sample_many: n must be an integer >= 1, got {n!r}")
     gen = rng.generator()
     if callable(reducer):
-        vals = np.array([float(reducer(_simulate_one(gen, p, False))) for _ in range(int(n))])
+        draw = _uniforms(gen).__next__
+        vals = np.array([float(reducer(_simulate_one(draw, p, False))) for _ in range(int(n))])
         name = getattr(reducer, "__name__", "callable")
     elif reducer in _NAMED_REDUCERS:
         c, m, a = _run_batches(gen, p, int(n))
@@ -296,17 +308,9 @@ def sample_many(
         raise DomainError(
             f"sample_many: reducer must be callable or one of {_NAMED_REDUCERS}, got {reducer!r}"
         )
-    mean = float(np.mean(vals))
     variance = float(np.var(vals, ddof=1)) if n > 1 else 0.0
-    hist = np.histogram(vals, bins=bins)
-    return SampleStats(
-        n=int(n),
-        reducer=name,
-        mean=mean,
-        variance=variance,
-        histogram=hist,
-        raw=vals if keep_raw else None,
-    )
+    return SampleStats(int(n), name, float(np.mean(vals)), variance, np.histogram(vals, bins=bins),
+                       vals if keep_raw else None)
 
 
 def sample_paths(p: ModelParams, rng: RngSpec, n: int):
@@ -334,9 +338,17 @@ def sample_within_cycle(
     value landing in ``(tau - delta, tau + delta)``.
 
     Requires a boundary start (``p.x == 0``) and ``tau - delta > t``.
-    ``delta`` defaults to ``0.05 * tau``.  Cycles that exceed the window
-    ceiling are abandoned early.  An acceptance rate below 1e-6 after the
-    first two million cycles raises :class:`RunawayError` as infeasible.
+    ``delta`` defaults to ``0.05 * tau``.  A cycle of length c with k up
+    phases has likelihood lam^k mu^(k-1) e^{-(lam+mu)c/2}, so given c the
+    path law depends on the rates only through lam*mu.  Cycles run under the
+    pair (lam', mu') with that product maximizing L(c) = (lam'/lam) e^{Delta
+    c/2}, Delta = lam+mu-lam'-mu', at the window's lower end, or under (lam,
+    mu) if that keeps more: a cycle is accepted with probability P(window)
+    times the least L over the window.  Each in-window cycle is kept with
+    probability L(c_ref)/L(c), c_ref the window end where L is least, so the
+    windowed law is exact.  Batches after the first are sized from the
+    acceptance so far.  An acceptance rate below 1e-6 after the first two
+    million cycles raises :class:`RunawayError` as infeasible.
     """
     if p.x != 0.0:
         raise DomainError("sample_within_cycle: conditional law requires a boundary start (x=0)")
@@ -356,75 +368,74 @@ def sample_within_cycle(
         )
     if not isinstance(n_target, (int, np.integer)) or isinstance(n_target, bool) or n_target < 1:
         raise DomainError(f"sample_within_cycle: n_target must be an integer >= 1, got {n_target!r}")
-    gen = rng.generator()
-    lam, mu = p.lam, p.mu
+    rates = _tilted_rates(p, 2.0 * (tau - delta), 2.0 * (tau + delta))
+    return _within_cycle_kernel(rng.generator(), p, rates, t, tau, delta, n_target, int(batch_size))
+
+
+def _tilted_rates(p: ModelParams, c_lo: float, c_hi: float) -> tuple[float, float]:
+    """The pair with product lam*mu maximizing L(c_lo), if its least L over [c_lo, c_hi] exceeds 1."""
+    lam_s = (1.0 + math.sqrt(1.0 + c_lo * c_lo * p.lam * p.mu)) / c_lo
+    half = 0.5 * (p.lam + p.mu - lam_s - p.lam * p.mu / lam_s)
+    if math.log(lam_s / p.lam) + min(half * c_lo, half * c_hi) > 0.0:
+        return lam_s, p.lam * p.mu / lam_s
+    return p.lam, p.mu
+
+
+def _within_cycle_kernel(gen, p: ModelParams, rates, t, tau, delta, n_target, batch_size):
+    """The sampler's wave loop, with cycles simulated under ``rates``, a pair
+    with product p.lam * p.mu, and thinned back to the law under p."""
+    lam, mu = rates
     # the window is on the half-cycle scale; cycle durations live at twice it
     c_lo, c_hi = 2.0 * (tau - delta), 2.0 * (tau + delta)
+    half = 0.5 * (p.lam + p.mu - lam - mu)
+    c_ref = c_lo if half > 0.0 else c_hi
     accepted: list[np.ndarray] = []
-    n_accepted = 0
-    atom_count = 0
-    n_cycles = 0
+    n_accepted = atom_count = n_cycles = n_window = 0
+    k = batch_size
     while n_accepted < n_target:
-        k = int(batch_size)
         n_cycles += k
-        pos = np.zeros(k)
-        tnow = np.zeros(k)
-        w_up = np.zeros(k)
-        w_at_t = np.full(k, np.nan)
-        iters = 0
-        while pos.size:
-            sz = pos.size
-            u = _draw_exp(gen, lam, sz)
-            t_pre = tnow
-            tnow = tnow + u
-            cross = (t_pre < t) & (tnow >= t)
+        # rows: time, position, up time so far and up time by t, dropped by one gather
+        state = np.zeros((4, k))
+        while state.shape[1]:
+            tnow, pos, w_up, w_at_t = state
+            u = _exp_draws(gen, lam, state.shape[1])
+            cross = tnow < t
             if cross.any():
-                wc = w_up[cross] + (t - t_pre[cross])
-                # pure-up prefix: w_up and tnow are bitwise equal until the
-                # first downward jump, so the position at t is exactly t
-                wc[w_up[cross] == t_pre[cross]] = t
-                w_at_t[cross] = wc
-            w_up = w_up + u
-            pos = pos + u
-            d = _draw_exp(gen, mu, sz)
+                cross &= tnow + u >= t
+                w_at_t[cross] = w_up[cross] + (t - tnow[cross])  # exactly t in the first wave
+            tnow += u
+            w_up += u
+            pos += u
+            d = _exp_draws(gen, mu, state.shape[1])
             hit = d >= pos
-            t_end = tnow + np.where(hit, pos, d)
-            cross_down = (tnow < t) & (t_end >= t)
-            w_at_t[cross_down] = w_up[cross_down]
-            tnow = t_end
-            pos = np.where(hit, 0.0, pos - d)
+            np.minimum(d, pos, out=d)
+            cross = tnow < t
+            if cross.any():
+                cross &= tnow + d >= t
+                w_at_t[cross] = w_up[cross]
+            tnow += d
+            pos -= d
             if hit.any():
                 c0 = tnow[hit]
                 ok = (c0 > c_lo) & (c0 < c_hi)
                 if ok.any():
-                    w_ok = w_at_t[hit][ok]
-                    xs = 2.0 * w_ok - t
-                    atom = xs >= t  # exact when the path never jumped before t
+                    c_ok = c0[ok]
+                    n_window += c_ok.size
+                    thin = gen.random(c_ok.size) < np.exp(-half * (c_ok - c_ref))
+                    xs = 2.0 * w_at_t[hit][ok][thin] - t
+                    atom = xs >= t  # the first up phase covered t
                     atom_count += int(np.count_nonzero(atom))
-                    cont = xs[~atom]
-                    if cont.size:
-                        accepted.append(cont)
-                    n_accepted += int(xs.size)
-            keep = (~hit) & (tnow < c_hi)
-            pos = pos[keep]
-            tnow = tnow[keep]
-            w_up = w_up[keep]
-            w_at_t = w_at_t[keep]
-            iters += 1
-            if iters > _EVENT_CAP // 2:
-                raise RunawayError("sample_within_cycle: batch exceeded the event cap")
+                    accepted.append(xs[~atom])
+                    n_accepted += xs.size
+            keep = ~hit
+            keep &= w_up < 0.5 * c_hi  # a cycle lasts twice its total up time
+            state = state.take(np.flatnonzero(keep), axis=1)
         if n_cycles >= 2_000_000 and n_accepted < 1e-6 * n_cycles:
             raise RunawayError(
                 f"sample_within_cycle: acceptance rate {n_accepted / n_cycles:.2e} below 1e-06, "
                 "conditioning window is infeasible"
             )
-    values = np.concatenate(accepted) if accepted else np.empty(0)
-    return WithinCycleSample(
-        t=t,
-        tau=tau,
-        delta=delta,
-        values=values,
-        atom_count=atom_count,
-        n_accepted=n_accepted,
-        n_cycles=n_cycles,
-    )
+        if n_accepted:
+            k = min(batch_size, int(1.2 * (n_target - n_accepted) * n_cycles / n_accepted) + 1000)
+    return WithinCycleSample(t, tau, delta, np.concatenate(accepted), atom_count, n_accepted, n_cycles,
+                             (lam, mu), n_accepted / n_window)

@@ -215,6 +215,8 @@ _Z_TINY = 1e-30
 # stays small next to the (m_max+1 x lanes) result
 _SWEEP_BLOCK = 16
 _SWEEP_VALUES = 4096
+# lanes x orders of one sweep; the largest in any passing benchmark job or test is 1.8e6
+_SWEEP_BUDGET = 2 * 10**7
 
 
 def _bessel_i_scaled_sweep(m_max: int, z) -> np.ndarray:
@@ -228,8 +230,19 @@ def _bessel_i_scaled_sweep(m_max: int, z) -> np.ndarray:
     each block is folded into the tail sum s = sum_{m>=1} r_1 ... r_m, and
     e^{-z}(I_0 + 2 sum I_m) = 1 gives e^{-z} I_0 = 1 / (1 + 2s).  Rows
     1..m_max are the running products of the ratios times that value.
+    Past its lane x order budget a sweep raises before it allocates.
     """
     z = np.atleast_1d(np.asarray(z, dtype=_LD))
+    if not np.all(np.isfinite(z)):
+        raise DomainError("Bessel sweep: arguments must be finite")
+    # start high enough that both the start-value contamination and the
+    # truncated upper tail of the normalization sum sit below 1e-18
+    # relative: orders above sqrt(90 z) carry weight < e^{-45} of the total
+    top = max(math.sqrt(m_max * m_max + 90.0 * float(np.max(z, initial=0.0))) + 12, m_max + 10)
+    if top * z.shape[0] > _SWEEP_BUDGET:
+        raise ConvergenceError(f"Bessel sweep needing {top:.3g} orders x {z.shape[0]} lanes, budget",
+                               math.inf, _SWEEP_BUDGET)
+    mtop = int(top)
     out = np.zeros((m_max + 1, z.shape[0]), dtype=_LD)
     pos = z > _Z_TINY
     out[0, ~pos] = 1.0
@@ -237,10 +250,6 @@ def _bessel_i_scaled_sweep(m_max: int, z) -> np.ndarray:
         return out
     zp = z[pos]
     npos = zp.shape[0]
-    # start high enough that both the start-value contamination and the
-    # truncated upper tail of the normalization sum sit below 1e-18
-    # relative: orders above sqrt(90 z) carry weight < e^{-45} of the total
-    mtop = max(int(math.sqrt(m_max * m_max + 90.0 * float(np.max(zp)))) + 12, m_max + 10)
     win = out if npos == z.shape[0] else np.empty((m_max + 1, npos), dtype=_LD)
     two_over_z = 2.0 / zp
     block = min(mtop, max(_SWEEP_BLOCK, _SWEEP_VALUES // npos))

@@ -2,15 +2,19 @@
 values, the paper's printed double series for the first-passage density from
 level x, the two direct double-series routes for the absorption-time
 density, the closed Gauss-2F1 and h-sum forms of the cycle and
-absorption-time moments, and the scalar loop form of the joint within-cycle
-law.
+absorption-time moments, the scalar loop form of the joint within-cycle
+law, and the original loops of the two path engines and of the ``simulate``
+CSV rows.
 
 The package evaluates the scaled Bessel values by one backward ratio sweep,
 both densities through Bessel-order mixtures, all moments through one Taylor
 recursion on the MGFs, and the joint law through one array kernel over all
 evaluation points.  These routes are independent rearrangements of the same
 closed forms, kept here so the tests can reconcile them with the production
-code.  Nothing under ``src/`` imports this module.
+code.  The engine loops draw one uniform per call and allocate a fresh array
+per operation; the package reads the same uniforms in blocks and updates its
+arrays in place, and the tests hold it to the same bits.  Nothing under
+``src/`` imports this module.
 
 The printed psi_x series loses its digits to cancellation at larger heights
 (at (lam, mu, x, t) = (10, 1, 20, 3.95) it comes out 19% high), so the tests
@@ -23,6 +27,7 @@ import numpy as np
 
 from elastic_telegraph.analytic import ModelParams, _ibar, _psi_x_bessel
 from elastic_telegraph.errors import ConvergenceError, DomainError
+from elastic_telegraph.sim import AbsorptionRecord, PathTrace
 from elastic_telegraph.specfun import (
     _EPS_LD,
     _LD,
@@ -318,3 +323,116 @@ def _joint_subdist_scalar(
 
     rest = _LD(lam) * np.exp(_LD(-(lam + mu) * tau)) * (t3 + t4)
     return part1 + float(rest)
+
+
+# ---------------------------------------------------------------------------
+# path engines and CSV rows, one uniform per generator call
+# ---------------------------------------------------------------------------
+
+
+def _draw_exp(gen: np.random.Generator, rate: float, size=None):
+    if size is None:
+        return -math.log1p(-gen.random()) / rate
+    return -np.log1p(-gen.random(size)) / rate
+
+
+def _simulate_one_loop(gen: np.random.Generator, p: ModelParams, keep_trace: bool):
+    """One path to absorption: up duration, down duration, then one
+    absorption uniform at each boundary visit."""
+    lam, mu, alpha = p.lam, p.mu, p.alpha
+    pos = float(p.x)
+    tnow = 0.0
+    visits: list[float] = []
+    verts = [(0.0, pos)]
+    phases: list[str] = []
+    bevents: list[tuple[float, str]] = []
+    while True:
+        u = _draw_exp(gen, lam)
+        pos += u
+        tnow += u
+        if keep_trace:
+            verts.append((tnow, pos))
+            phases.append("up")
+        d = _draw_exp(gen, mu)
+        if d >= pos:
+            tnow += pos
+            pos = 0.0
+            if keep_trace:
+                verts.append((tnow, 0.0))
+                phases.append("truncated-down")
+            visits.append(tnow)
+            absorbed = gen.random() < alpha
+            if keep_trace:
+                bevents.append((tnow, "absorbed" if absorbed else "reflected"))
+            if absorbed:
+                break
+        else:
+            pos -= d
+            tnow += d
+            if keep_trace:
+                verts.append((tnow, pos))
+                phases.append("down")
+    rec = AbsorptionRecord(
+        c_x=visits[0],
+        cycles=tuple(b - a for a, b in zip(visits, visits[1:])),
+        m=len(visits),
+        a_x=visits[-1],
+    )
+    if keep_trace:
+        return rec, PathTrace(tuple(verts), tuple(phases), tuple(bevents))
+    return rec
+
+
+def _run_batch_loop(gen: np.random.Generator, p: ModelParams, k: int):
+    """k paths in waves: per wave, up durations, down durations and coins for
+    every live path; a fresh array per operation."""
+    lam, mu, alpha = p.lam, p.mu, p.alpha
+    pos = np.full(k, float(p.x))
+    tnow = np.zeros(k)
+    c_first = np.full(k, np.nan)
+    mcount = np.zeros(k, dtype=np.int64)
+    idx = np.arange(k)
+    res_c = np.empty(k)
+    res_m = np.empty(k, dtype=np.int64)
+    res_a = np.empty(k)
+    while pos.size:
+        sz = pos.size
+        u = _draw_exp(gen, lam, sz)
+        pos += u
+        tnow += u
+        d = _draw_exp(gen, mu, sz)
+        coin = gen.random(sz) < alpha
+        hit = d >= pos
+        tnow += np.where(hit, pos, d)
+        pos = np.where(hit, 0.0, pos - d)
+        if hit.any():
+            first = hit & np.isnan(c_first)
+            c_first[first] = tnow[first]
+            mcount[hit] += 1
+            absorbed = hit & coin
+            if absorbed.any():
+                res_c[idx[absorbed]] = c_first[absorbed]
+                res_m[idx[absorbed]] = mcount[absorbed]
+                res_a[idx[absorbed]] = tnow[absorbed]
+                keep = ~absorbed
+                pos = pos[keep]
+                tnow = tnow[keep]
+                c_first = c_first[keep]
+                mcount = mcount[keep]
+                idx = idx[keep]
+    return res_c, res_m, res_a
+
+
+def _sample_paths_loop(gen: np.random.Generator, p: ModelParams, n: int):
+    """n paths in batches of at most a million, as (c_x, m, a_x) arrays."""
+    parts = [_run_batch_loop(gen, p, min(k, 1_000_000)) for k in range(n, 0, -1_000_000)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _simulate_csv(seed: int, stream: int, c, m, a) -> bytes:
+    """The ``simulate`` CSV, one joined field list per row."""
+    lines = ["seed,stream,c_x,m,a_x"]
+    for i in range(len(c)):
+        lines.append(",".join([str(seed), str(stream), f"{float(c[i]):.17g}", str(int(m[i])),
+                               f"{float(a[i]):.17g}"]))
+    return ("\n".join(lines) + "\n").encode("ascii")

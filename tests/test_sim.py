@@ -18,7 +18,9 @@ from elastic_telegraph.analytic import (
     cond_atom,
     cond_cdf_within_cycle,
     pdf_c0,
+    psi0,
 )
+from elastic_telegraph.cli import main as cli_main
 from elastic_telegraph.errors import DomainError
 from elastic_telegraph.numeric import ks_statistic
 from elastic_telegraph.sim import (
@@ -27,10 +29,18 @@ from elastic_telegraph.sim import (
     RngSpec,
     SampleStats,
     WithinCycleSample,
+    _tilted_rates,
+    _within_cycle_kernel,
     sample_many,
     sample_paths,
     sample_within_cycle,
     simulate_absorption,
+)
+
+from reference_routes import (
+    _sample_paths_loop,
+    _simulate_csv,
+    _simulate_one_loop,
 )
 
 P = ModelParams(lam=2.0, mu=0.5, alpha=0.5, x=1.0)
@@ -88,6 +98,61 @@ def test_sample_many_matches_sample_paths():
     stats = sample_many(P, RngSpec(seed=9), 1000, reducer="a_x", keep_raw=True)
     _, _, a = sample_paths(P, RngSpec(seed=9), 1000)
     np.testing.assert_array_equal(stats.raw, a)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the one-uniform-per-call engine loops
+# ---------------------------------------------------------------------------
+
+# moderate, long-lived (alpha near 0, lam/mu near 1, high start) and
+# always-absorbed from the boundary
+BITWISE_SETS = [
+    ModelParams(2.0, 0.5, 0.5, 1.0),
+    ModelParams(1.1, 1.0, 0.05, 3.0),
+    ModelParams(20.0, 1.0, 1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("p", BITWISE_SETS)
+def test_batch_engine_bitwise_matches_loop_oracle(p):
+    spec = RngSpec(seed=8128, stream=3)
+    got = sample_paths(p, spec, 3000)
+    want = _sample_paths_loop(spec.generator(), p, 3000)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    for i, name in enumerate(("c_x", "m", "a_x")):
+        stats = sample_many(p, spec, 3000, reducer=name, keep_raw=True)
+        assert np.array_equal(stats.raw, want[i].astype(float))
+
+
+@pytest.mark.parametrize("p", BITWISE_SETS)
+def test_scalar_engine_bitwise_matches_loop_oracle(p):
+    # one generator across paths: the block reads must hand the leftover
+    # uniforms of one path to the next
+    spec = RngSpec(seed=496, stream=1)
+    got = sample_many(p, spec, 300, reducer=lambda rec: rec.a_x - rec.c_x + rec.m, keep_raw=True)
+    gen = spec.generator()
+    want = [_simulate_one_loop(gen, p, False) for _ in range(300)]
+    assert np.array_equal(got.raw, np.array([r.a_x - r.c_x + r.m for r in want]))
+    for seed in range(12):
+        rec, trace = simulate_absorption(p, RngSpec(seed=seed), keep_trace=True)
+        assert (rec, trace) == _simulate_one_loop(RngSpec(seed=seed).generator(), p, True)
+        assert simulate_absorption(p, RngSpec(seed=seed)) == rec
+
+
+@pytest.mark.parametrize("p,n", [(BITWISE_SETS[0], 20_000), (BITWISE_SETS[1], 700), (BITWISE_SETS[2], 700)])
+def test_simulate_csv_bytes_match_row_oracle(p, n, tmp_path, capsys):
+    # 20,000 rows cross the writer's chunk boundary
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--lambda", str(p.lam), "--mu", str(p.mu), "--alpha", str(p.alpha),
+            "--x", str(p.x), "--n", str(n), "--seed", "65537", "--stream", "2", "--out", str(out)]
+    assert cli_main(argv) == 0
+    c, m, a = _sample_paths_loop(RngSpec(seed=65537, stream=2).generator(), p, n)
+    assert out.read_bytes() == _simulate_csv(65537, 2, c, m, a)
+    capsys.readouterr()
+    assert cli_main(argv[:-2]) == 0
+    assert capsys.readouterr().out.encode("ascii") == _simulate_csv(65537, 2, c, m, a)
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +438,110 @@ def test_within_cycle_matches_conditional_law():
 def test_within_cycle_default_window():
     out = sample_within_cycle(P0, RngSpec(seed=5), t=1.0, tau=4.0, n_target=200)
     assert out.delta == pytest.approx(0.2)
+
+
+# ---------------------------------------------------------------------------
+# exponential tilt of the within-cycle sampler
+# ---------------------------------------------------------------------------
+
+
+def _positions(ws: WithinCycleSample) -> np.ndarray:
+    return np.concatenate((ws.values, np.full(ws.atom_count, ws.t)))
+
+
+def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    pooled = np.concatenate((a, b))
+    fa = np.searchsorted(np.sort(a), pooled, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), pooled, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def test_tilted_kernel_matches_untilted_kernel():
+    # given the return time the law depends on the rates only through
+    # lam*mu, so the kernel run at the model's own rates and at the tilted
+    # pair must agree; 1.949*sqrt((n+m)/(n*m)) is the 0.1 percent two-sample
+    # Kolmogorov critical value, and the atom frequencies must sit within
+    # 4 standard errors
+    t, tau, delta = 2.0, 4.0, 0.4
+    pair = _tilted_rates(P0, 2.0 * (tau - delta), 2.0 * (tau + delta))
+    assert pair[0] < P0.lam
+    plain = _within_cycle_kernel(RngSpec(31, 1).generator(), P0, (P0.lam, P0.mu), t, tau, delta,
+                                 10_000, 500_000)
+    tilted = _within_cycle_kernel(RngSpec(31, 2).generator(), P0, pair, t, tau, delta, 10_000, 500_000)
+    n, m = plain.n_accepted, tilted.n_accepted
+    assert _ks_two_sample(_positions(plain), _positions(tilted)) < 1.949 * math.sqrt((n + m) / (n * m))
+    pa, pb = plain.atom_count / n, tilted.atom_count / m
+    assert abs(pa - pb) < 4.0 * math.sqrt(pa * (1.0 - pa) / n + pb * (1.0 - pb) / m)
+    assert plain.thinning_acceptance == 1.0
+    assert tilted.thinning_acceptance < 1.0
+    # the tilt is what buys the speed: at least twice the acceptance per cycle
+    assert tilted.n_accepted / tilted.n_cycles > 2.0 * plain.n_accepted / plain.n_cycles
+
+
+def _windowed_law(p, t, tau, delta, xs):
+    """CDF on xs and atom of the position at t given a half-cycle return in
+    (tau - delta, tau + delta): the exact-tau law averaged against psi0 by
+    12-node Gauss-Legendre (converged to 1e-9 here)."""
+    g, w = np.polynomial.legendre.leggauss(12)
+    taus = tau + delta * g
+    wts = psi0(taus, p) * w
+    wts = wts / wts.sum()
+    cdf = sum(wi * cond_cdf_within_cycle(xs, t, ti, p) for wi, ti in zip(wts, taus))
+    atom = sum(wi * cond_atom(t, ti, p) for wi, ti in zip(wts, taus))
+    return cdf, atom
+
+
+def _matches_windowed_law(ws, cdf, atom, xs) -> bool:
+    # 1.949/sqrt(n) is the 0.1 percent Kolmogorov critical value; the atom
+    # frequency must sit within 4 standard errors
+    n = ws.n_accepted
+    emp = np.searchsorted(np.sort(ws.values), xs, side="right") / n
+    ks_ok = float(np.max(np.abs(emp - cdf))) < 1.949 / math.sqrt(n)
+    return ks_ok and abs(ws.atom_count / n - atom) < 4.0 * math.sqrt(atom * (1.0 - atom) / n)
+
+
+def test_thinning_keeps_wide_window_law_exact():
+    # a window of half-width 3 and a pair far from the model's: without the
+    # thinning step the sample follows the windowed law of the simulation
+    # pair, whose cycle lengths weigh the window differently
+    t, tau, delta = 2.5, 5.6, 3.0
+    pair = (1.05, 1.0 / 1.05)
+    xs = np.linspace(0.04, 0.96, 24) * t
+    cdf, atom = _windowed_law(P0, t, tau, delta, xs)
+    thinned = _within_cycle_kernel(RngSpec(5, 2).generator(), P0, pair, t, tau, delta, 20_000, 500_000)
+    assert _matches_windowed_law(thinned, cdf, atom, xs)
+    assert thinned.thinning_acceptance < 0.6
+    # negative control: the same cycles with no thinning (the kernel run as
+    # if the pair were the model) must be rejected by the same check
+    unthinned = _within_cycle_kernel(RngSpec(5, 2).generator(), ModelParams(*pair), pair, t, tau,
+                                     delta, 20_000, 500_000)
+    assert unthinned.thinning_acceptance == 1.0
+    assert not _matches_windowed_law(unthinned, cdf, atom, xs)
+
+
+@pytest.mark.parametrize("ratio", [1.001, 1.1, 2.0, 4.0, 30.0, 1000.0])
+def test_tilted_pair_never_lowers_acceptance(ratio):
+    # the acceptance per cycle is P(window) times the least likelihood ratio
+    # L(c) = (lam'/lam) e^{Delta c/2} over the window; it must be >= 1
+    for mu in (0.05, 0.5, 1.0, 7.0):
+        p = ModelParams(ratio * mu, mu)
+        for tau in (0.3, 2.0, 6.0, 40.0):
+            for frac in (0.01, 0.05, 0.3, 0.9):
+                c_lo, c_hi = 2.0 * tau * (1.0 - frac), 2.0 * tau * (1.0 + frac)
+                lam_s, mu_s = _tilted_rates(p, c_lo, c_hi)
+                assert lam_s * mu_s == pytest.approx(p.lam * p.mu, rel=1e-13)
+                assert lam_s > mu_s > 0.0
+                half = 0.5 * ((p.lam + p.mu) - (lam_s + mu_s))
+                log_l = [math.log(lam_s / p.lam) + half * c for c in (c_lo, c_hi)]
+                assert min(log_l) >= -1e-12
+
+
+def test_within_cycle_reports_tilt_and_acceptance():
+    # verify's window: the tilt multiplies the acceptance per cycle by about 9
+    out = sample_within_cycle(P0, RngSpec(seed=4242, stream=7), t=5.0, tau=6.0, delta=0.3,
+                              n_target=5000)
+    lam_s, mu_s = out.sim_rates
+    assert (lam_s, mu_s) == _tilted_rates(P0, 11.4, 12.6)
+    assert lam_s * mu_s == pytest.approx(P0.lam * P0.mu, rel=1e-13)
+    assert 0.0 < out.thinning_acceptance < 1.0
+    assert out.n_accepted / out.n_cycles > 9e-3

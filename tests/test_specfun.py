@@ -6,6 +6,7 @@ except for the optional cross-grids.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,27 @@ def test_sweep_row_zero_at_z_zero():
     out = _bessel_i_scaled_sweep(3, np.array([0.0], dtype=np.longdouble))
     assert out[0, 0] == 1.0
     assert float(np.max(np.abs(out[1:, 0]))) == 0.0
+
+
+def test_psi0_non_finite_time_is_domain_error():
+    for t in (math.inf, math.nan, [1.0, math.inf]):
+        with pytest.raises(DomainError):
+            psi0(t, ModelParams(2.0, 0.5))
+
+
+def test_sweep_work_budget_raises_before_allocating():
+    # t = 1e300 asks for about 1e151 orders; the lane x order budget must
+    # stop it before the sweep allocates its result
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            psi0(1e300, ModelParams(2.0, 0.5))
+        with pytest.raises(ConvergenceError):
+            _bessel_i_scaled_sweep(10**7, np.array([1.0, 2.0], dtype=np.longdouble))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------
